@@ -36,13 +36,10 @@ def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
                      help="largest degree the search will attempt (default 12)")
     sub.add_argument("--max-nodes", type=int, default=100_000_000,
                      help="backtrack-node budget for one search (default 1e8)")
-    sub.add_argument("--deterministic", action="store_true", default=True,
-                     help="deterministic single-threaded search (default)")
 
 
 def _budget(args) -> SearchBudget:
-    return SearchBudget(max_degree=args.max_degree, max_nodes=args.max_nodes,
-                        deterministic=args.deterministic)
+    return SearchBudget(max_degree=args.max_degree, max_nodes=args.max_nodes)
 
 
 def _dump(obj) -> str:
@@ -163,8 +160,6 @@ def build_parser() -> _Parser:
     check = sub.add_parser("check", help="decide one datum", parents=[])
     check.add_argument("datum", help='datum text, e.g. "4: [3,1] [2,2] [2,2]"')
     check.add_argument("--format", choices=("text", "json"), default="text")
-    check.add_argument("--jobs", type=int, default=1,
-                       help="accepted for interface compatibility; the search is single-threaded")
     check.add_argument("--strict-corollaries", action="store_true",
                        help="use the strict (>) length bounds; over-rejects, see docs")
     check.add_argument("--expect", choices=(REALIZABLE, EXCEPTIONAL, UNKNOWN))

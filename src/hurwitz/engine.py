@@ -224,8 +224,10 @@ def verify(verdict: Verdict, datum: CandidateDatum) -> bool:
 
     Certificates are fully re-verified (witness invariants, chain replay and
     linkage, base certificate).  Filter, balance, and closed-form verdicts
-    are re-derived.  Exceptional verdicts from the search or a reduction
-    carry no certificate; for those only structural consistency is checked.
+    are re-derived; filters with the provable weak bounds only, so a filter
+    verdict that only the strict bounds support is rejected.  Exceptional
+    verdicts from the search or a reduction carry no certificate; for those
+    only structural consistency is checked.
     """
     try:
         return _verify(verdict, datum)
@@ -250,7 +252,7 @@ def _verify(verdict: Verdict, datum: CandidateDatum) -> bool:
         if method.startswith("filter:"):
             rule = method.split(":", 1)[1]
             fired = {r.rule for r in prop1_filter(datum)}
-            fired.update(r.rule for r in corollary_filter(datum, strict=True))
+            fired.update(r.rule for r in corollary_filter(datum))
             return rule in fired
         if method == "songxu":
             shape = match_songxu_shape(datum)

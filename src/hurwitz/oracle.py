@@ -12,7 +12,13 @@ here is complete:
     forced by the product condition and checked by cycle type,
   * the remaining factors are built cycle by cycle, smallest class first,
     under a union-find orbit bound: a branch dies when the cycles still to
-    be placed cannot merge the current orbits into one.
+    be placed cannot merge the current orbits into one,
+  * the forced factor's cycle type is checked incrementally while the last
+    enumerated factor M is built: with every other factor fixed, the
+    product it inverts is A o M o B, so each image M(y) = z fixes one
+    product entry B^-1(y) -> A(z).  A branch dies when an entry closes a
+    product cycle whose length the forced type has no unused part for, or
+    leaves an open chain of product entries longer than every unused part.
 
 One backtrack node is charged per assigned cycle; exceeding the node
 budget aborts the search with an ``unknown`` verdict, never a wrong one.
@@ -53,7 +59,6 @@ class SearchBudget:
 
     max_degree: int = 12
     max_nodes: int = 100_000_000
-    deterministic: bool = True
 
     def __post_init__(self) -> None:
         if self.max_degree < 1 or self.max_nodes < 1:
@@ -102,10 +107,6 @@ class BudgetExhausted(Exception):
     pass
 
 
-class _Found(Exception):
-    pass
-
-
 class _TupleSearch:
     """Backtracking enumeration of witness tuples for one datum."""
 
@@ -118,7 +119,7 @@ class _TupleSearch:
         self.fixed_pos = order[-1]
         self.forced_pos = order[-2]
         self.middles = order[:-2]
-        self.forced_type = self.types[self.forced_pos]
+        forced_type = self.types[self.forced_pos]
 
         self.images: list[list[int] | None] = [None] * n
         fixed = list(canonical_of_type(datum.partitions[self.fixed_pos]))
@@ -133,13 +134,27 @@ class _TupleSearch:
             self._union(x, fixed[x])
 
         # merge capacity of everything scheduled after middle mi (forced last)
-        forced_cap = d - len(self.forced_type)
+        forced_cap = d - len(forced_type)
         caps = [d - len(self.types[p]) for p in self.middles]
         self.future_cap = [sum(caps[mi + 1:]) + forced_cap for mi in range(len(caps) + 1)]
 
+        # the product R o L whose inverse is the forced factor, filled in while
+        # the last middle is built; its known entries form open chains, and
+        # each chain's other end and point count are kept at both of its ends
+        self.tracking = False
+        self.a_map: Perm = ()
+        self.b_inv: Perm = ()
+        self.prod = [-1] * d
+        self.chain_end = list(range(d))
+        self.chain_len = [1] * d
+        self.unused = [0] * (d + 1)
+        for c in forced_type:
+            self.unused[c] += 1
+        self.lengths = sorted(set(forced_type), reverse=True)
+        self.links: list[tuple[int, ...]] = []
+
         self.nodes = 0
         self.max_nodes = budget.max_nodes
-        self.witness: ConstellationWitness | None = None
 
     # -- union-find with rollback (no path compression) --
 
@@ -174,19 +189,91 @@ class _TupleSearch:
         if self.nodes > self.max_nodes:
             raise BudgetExhausted
 
+    # -- the forced factor's product, one entry per image of the last middle --
+
+    def _track(self) -> None:
+        """Write R o L = A o M o B, M the last middle (identity if there is none)."""
+        n = len(self.types)
+        k = self.forced_pos
+        # R o L composes the factors after k, then those before it, cyclically
+        seq = [(k + j) % n for j in range(1, n)]
+        t = seq.index(self.middles[-1]) if self.middles else len(seq)
+        self.a_map = self._compose(seq[:t])
+        self.b_inv = inverse(self._compose(seq[t + 1:]))
+
+    def _compose(self, positions: list[int]) -> Perm:
+        acc = list(range(self.degree))
+        for pos in positions:
+            acc = [acc[y] for y in self.images[pos]]
+        return tuple(acc)
+
+    def _link(self, y: int, z: int) -> bool:
+        """Record M(y) = z, which fixes the product entry B^-1(y) -> A(z).
+
+        Returns False, recording nothing, when that entry closes a product
+        cycle whose length has no unused part in the forced type, or leaves
+        an open chain longer than every unused part.
+        """
+        if not self.tracking:
+            return True
+        u = self.b_inv[y]
+        v = self.a_map[z]
+        ends = self.chain_end
+        lens = self.chain_len
+        start = ends[u]  # u ends an open chain; v starts one
+        if start == v:
+            length = lens[u]
+            if not self.unused[length]:
+                return False
+            self.unused[length] -= 1
+            self.links.append((length,))
+        else:
+            end = ends[v]
+            merged = lens[u] + lens[v]
+            if merged > self._longest_unused():
+                return False
+            self.links.append((start, u, lens[u], end, v, lens[v]))
+            ends[start] = end
+            ends[end] = start
+            lens[start] = lens[end] = merged
+        self.prod[u] = v
+        return True
+
+    def _unlink(self) -> None:
+        if not self.tracking:
+            return
+        entry = self.links.pop()
+        if len(entry) == 1:
+            self.unused[entry[0]] += 1
+            return
+        start, u, len_u, end, v, len_v = entry
+        self.chain_end[start] = u
+        self.chain_end[end] = v
+        self.chain_len[start] = len_u
+        self.chain_len[end] = len_v
+
+    def _longest_unused(self) -> int:
+        for length in self.lengths:
+            if self.unused[length]:
+                return length
+        return 0
+
     # -- search --
 
-    def run(self) -> tuple[str, ConstellationWitness | None]:
-        try:
-            self._enter_middle(0)
-        except _Found:
-            return (REALIZABLE, self.witness)
-        return (EXCEPTIONAL, None)
+    def run(self) -> ConstellationWitness | None:
+        if self.middles:
+            return self._enter_middle(0)
+        # two factors: nothing is enumerated, the product is the pinned factor
+        self._track()
+        self.tracking = True
+        for x in range(self.degree):
+            if not self._link(x, x):
+                return None
+        return self._leaf()
 
-    def _enter_middle(self, mi: int) -> None:
+    def _enter_middle(self, mi: int) -> ConstellationWitness | None:
         if mi == len(self.middles):
-            self._leaf()
-            return
+            return self._leaf()
         pos = self.middles[mi]
         counts: dict[int, int] = {}
         for c in self.types[pos]:
@@ -194,18 +281,23 @@ class _TupleSearch:
         img = [-1] * self.degree
         used = [False] * self.degree
         self.images[pos] = img
+        last = mi == len(self.middles) - 1
+        if last:
+            self._track()
+        self.tracking = last
         cap = self.degree - len(self.types[pos])
-        self._place_cycle(mi, img, used, counts, cap, 0)
+        found = self._place_cycle(mi, img, used, counts, cap, 0)
+        self.tracking = False
         self.images[pos] = None
+        return found
 
-    def _place_cycle(self, mi, img, used, counts, cap, scan_from) -> None:
+    def _place_cycle(self, mi, img, used, counts, cap, scan_from) -> ConstellationWitness | None:
         leader = scan_from
         degree = self.degree
         while leader < degree and used[leader]:
             leader += 1
         if leader == degree:
-            self._enter_middle(mi + 1)
-            return
+            return self._enter_middle(mi + 1)
         fut = self.future_cap[mi]
         for length in sorted(counts, reverse=True):
             left = counts[length]
@@ -216,15 +308,21 @@ class _TupleSearch:
             if length == 1:
                 img[leader] = leader
                 self._tick()
-                if self.orbits - 1 <= cap + fut:
-                    self._place_cycle(mi, img, used, counts, cap, leader + 1)
+                if self.orbits - 1 <= cap + fut and self._link(leader, leader):
+                    found = self._place_cycle(mi, img, used, counts, cap, leader + 1)
+                    if found is not None:
+                        return found
+                    self._unlink()
                 img[leader] = -1
             else:
-                self._extend_cycle(mi, img, used, counts, cap - (length - 1), leader, leader, length - 1)
+                found = self._extend_cycle(mi, img, used, counts, cap - (length - 1), leader, leader, length - 1)
+                if found is not None:
+                    return found
             used[leader] = False
             counts[length] = left
+        return None
 
-    def _extend_cycle(self, mi, img, used, counts, cap_after, leader, tip, left) -> None:
+    def _extend_cycle(self, mi, img, used, counts, cap_after, leader, tip, left) -> ConstellationWitness | None:
         if left == 0:
             img[tip] = leader
             self._tick()
@@ -236,77 +334,46 @@ class _TupleSearch:
                 x = y
                 if x == leader:
                     break
-            if self.orbits - 1 <= cap_after + self.future_cap[mi]:
-                self._place_cycle(mi, img, used, counts, cap_after, leader + 1)
+            if self.orbits - 1 <= cap_after + self.future_cap[mi] and self._link(tip, leader):
+                found = self._place_cycle(mi, img, used, counts, cap_after, leader + 1)
+                if found is not None:
+                    return found
+                self._unlink()
             self._rollback(mark)
             img[tip] = -1
-            return
+            return None
         for nxt in range(self.degree):
-            if used[nxt]:
+            if used[nxt] or not self._link(tip, nxt):
                 continue
             used[nxt] = True
             img[tip] = nxt
-            self._extend_cycle(mi, img, used, counts, cap_after, leader, nxt, left - 1)
+            found = self._extend_cycle(mi, img, used, counts, cap_after, leader, nxt, left - 1)
+            if found is not None:
+                return found
+            self._unlink()
             img[tip] = -1
             used[nxt] = False
+        return None
 
-    def _leaf(self) -> None:
+    def _leaf(self) -> ConstellationWitness | None:
+        # every product entry is known and every cycle closed within the
+        # forced type, so only transitivity is left to check
         d = self.degree
-        k = self.forced_pos
-        n = len(self.types)
-        # the forced factor is (R o L)^-1, where L is the product of the
-        # factors before position k and R the product after, in datum order;
-        # its cycle type therefore equals the type of R o L
-        left = None
-        for pos in range(k - 1, -1, -1):
-            src = self.images[pos]
-            left = src if left is None else [src[x] for x in left]
-        right = None
-        for pos in range(n - 1, k, -1):
-            src = self.images[pos]
-            right = src if right is None else [src[x] for x in right]
-        if left is None:
-            prod = list(right) if right is not None else list(range(d))
-        elif right is None:
-            prod = list(left)
-        else:
-            prod = [right[left[x]] for x in range(d)]
-
-        want: dict[int, int] = {}
-        for c in self.forced_type:
-            want[c] = want.get(c, 0) + 1
-        seen = bytearray(d)
-        for start in range(d):
-            if seen[start]:
-                continue
-            length = 1
-            seen[start] = 1
-            x = prod[start]
-            while x != start:
-                seen[x] = 1
-                length += 1
-                x = prod[x]
-            have = want.get(length, 0)
-            if not have:
-                return
-            want[length] = have - 1
-
+        prod = self.prod
         mark = len(self.trail)
         for x in range(d):
             self._union(x, prod[x])
         transitive = self.orbits == 1
         self._rollback(mark)
         if not transitive:
-            return
-
+            return None
         perms = []
-        for pos in range(n):
-            if pos == k:
+        for pos in range(len(self.types)):
+            if pos == self.forced_pos:
                 perms.append(inverse(tuple(prod)))
             else:
                 perms.append(tuple(self.images[pos]))
-        self.witness = ConstellationWitness(d, tuple(perms))
-        raise _Found
+        return ConstellationWitness(d, tuple(perms))
 
 
 def decide(datum: CandidateDatum, budget: SearchBudget | None = None) -> Verdict:
@@ -336,11 +403,11 @@ def decide(datum: CandidateDatum, budget: SearchBudget | None = None) -> Verdict
 
     search = _TupleSearch(datum, budget)
     try:
-        status, witness = search.run()
+        witness = search.run()
     except BudgetExhausted:
         return Verdict(UNKNOWN, "oracle", limit=LIMIT_BUDGET, stats=_stats(search.nodes, start))
-    if status == REALIZABLE:
-        if witness is None or not check_witness(datum, witness):
+    if witness is not None:
+        if not check_witness(datum, witness):
             raise RuntimeError(f"search produced an invalid witness for {datum}")
         return Verdict(REALIZABLE, "oracle", certificate=witness, stats=_stats(search.nodes, start))
     return Verdict(EXCEPTIONAL, "oracle", stats=_stats(search.nodes, start))

@@ -5,7 +5,7 @@ from hurwitz.oracle import ConstellationWitness, SearchBudget
 from hurwitz.oracle import decide as oracle_decide
 from hurwitz.partitions import CandidateDatum, enumerate_candidates, parse_datum
 from hurwitz.reduction import ReductionChain
-from hurwitz.verdicts import EXCEPTIONAL, REALIZABLE, UNKNOWN
+from hurwitz.verdicts import EXCEPTIONAL, REALIZABLE, UNKNOWN, Verdict
 
 
 def D(text):
@@ -93,6 +93,12 @@ def test_verify_exceptional_methods():
     assert verify(decide(eks), eks)
     zheng = D("8: [5,3] [2,2,2,2] [3,3,1,1]")
     assert verify(decide(zheng), zheng)
+
+
+def test_verify_rejects_strict_only_filter_verdict():
+    # realizable, but the strict (unsound) cor1 length bound flags it
+    klein = D("4: [2,2] [2,2] [2,2]")
+    assert not verify(Verdict(EXCEPTIONAL, "filter:cor1.length"), klein)
 
 
 def test_songxu_realizable_engine_has_certificate():

@@ -1,10 +1,17 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from hurwitz.oracle import ConstellationWitness, SearchBudget, check_witness, decide
-from hurwitz.partitions import CandidateDatum, enumerate_candidates, parse_datum
+from hurwitz.oracle import (
+    ConstellationWitness,
+    SearchBudget,
+    _TupleSearch,
+    check_witness,
+    decide,
+)
+from hurwitz.partitions import CandidateDatum, Partition, enumerate_candidates, parse_datum
 from hurwitz.perms import relabel
 from hurwitz.verdicts import EXCEPTIONAL, REALIZABLE, UNKNOWN
 from oracles import reference_decide
@@ -15,23 +22,23 @@ def D(text):
 
 
 def test_eks_datum_exceptional():
-    assert decide(D("4: [3,1] [2,2] [2,2]")).status == EXCEPTIONAL
+    assert decide(D("4: [3, 1] [2, 2] [2, 2]")).status == EXCEPTIONAL
 
 
 def test_klein_datum_realizable_with_valid_witness():
-    datum = D("4: [2,2] [2,2] [2,2]")
+    datum = D("4: [2, 2] [2, 2] [2, 2]")
     verdict = decide(datum)
     assert verdict.status == REALIZABLE
     assert check_witness(datum, verdict.certificate)
 
 
 def test_degree_three_realizable():
-    assert decide(D("3: [3] [2,1] [2,1]")).status == REALIZABLE
+    assert decide(D("3: [3] [2, 1] [2, 1]")).status == REALIZABLE
 
 
 def test_zheng_pair():
-    assert decide(D("8: [5,3] [2,2,2,2] [3,2,2,1]")).status == REALIZABLE
-    assert decide(D("8: [5,3] [2,2,2,2] [3,3,1,1]")).status == EXCEPTIONAL
+    assert decide(D("8: [5, 3] [2, 2, 2,2] [3, 2, 2,1]")).status == REALIZABLE
+    assert decide(D("8: [5, 3] [2, 2, 2,2] [3, 3, 1,1]")).status == EXCEPTIONAL
 
 
 def test_base_shapes():
@@ -51,7 +58,7 @@ def test_degree_limit():
 
 
 def test_witness_tampering_detected():
-    datum = D("4: [2,2] [2,2] [2,2]")
+    datum = D("4: [2, 2] [2, 2] [2, 2]")
     witness = decide(datum).certificate
     perms = list(witness.perms)
     images = list(perms[0])
@@ -62,7 +69,7 @@ def test_witness_tampering_detected():
 
 
 def test_conjugation_invariance():
-    datum = D("8: [5,3] [2,2,2,2] [3,2,2,1]")
+    datum = D("8: [5, 3] [2, 2, 2,2] [3, 2, 2,1]")
     witness = decide(datum).certificate
     rng = random.Random(77)
     for _ in range(10):
@@ -73,16 +80,31 @@ def test_conjugation_invariance():
         assert check_witness(datum, moved)
 
 
+ORDER_CASES = [
+    (4, [[3, 1], [2, 2], [2, 2]], EXCEPTIONAL),
+    (4, [[4], [3, 1], [2, 1, 1]], REALIZABLE),
+    (7, [[4, 3], [3, 2, 2], [2, 2, 2, 1]], REALIZABLE),
+    (8, [[5, 3], [2, 2, 2, 2], [3, 2, 2, 1]], REALIZABLE),
+    (8, [[5, 3], [2, 2, 2, 2], [3, 3, 1, 1]], EXCEPTIONAL),
+    (8, [[5, 3], [3, 2, 2, 1], [4, 1, 1, 1, 1], [2, 1, 1, 1, 1, 1, 1]], REALIZABLE),
+    (8, [[4, 2, 2], [2, 2, 2, 2], [5, 1, 1, 1], [2, 1, 1, 1, 1, 1, 1]], EXCEPTIONAL),
+]
+
+
 def test_datum_order_invariance():
-    partitions = ["[3,1]", "[2,2]", "[2,2]"]
-    verdicts = set()
-    for perm in itertools.permutations(partitions):
-        verdicts.add(decide(D("4: " + " ".join(perm))).status)
-    assert verdicts == {EXCEPTIONAL}
-    verdicts = set()
-    for perm in itertools.permutations(["[4]", "[3,1]", "[2,1,1]"]):
-        verdicts.add(decide(D("4: " + " ".join(perm))).status)
-    assert verdicts == {REALIZABLE}
+    # CandidateDatum is always in canonical order, so the search runs on a
+    # datum-shaped value instead.  Every arrangement puts the pinned, forced
+    # and enumerated factors in every position, so the product tracked around
+    # the last enumerated factor has identity and non-identity on both sides.
+    for degree, partitions, status in ORDER_CASES:
+        for order in itertools.permutations(partitions):
+            datum = SimpleNamespace(
+                degree=degree, partitions=tuple(Partition.of(p) for p in order)
+            )
+            witness = _TupleSearch(datum, SearchBudget()).run()
+            assert (REALIZABLE if witness else EXCEPTIONAL) == status, order
+            if witness:
+                assert check_witness(datum, witness), order
 
 
 def test_agrees_with_reference_at_tiny_scale():
@@ -98,8 +120,8 @@ def test_agrees_with_reference_at_tiny_scale():
 
 def test_budget_monotonicity():
     cases = [
-        (D("8: [5,3] [2,2,2,2] [3,2,2,1]"), REALIZABLE),
-        (D("8: [5,3] [2,2,2,2] [3,3,1,1]"), EXCEPTIONAL),
+        (D("8: [5, 3] [2, 2, 2,2] [3, 2, 2,1]"), REALIZABLE),
+        (D("8: [5, 3] [2, 2, 2,2] [3, 3, 1,1]"), EXCEPTIONAL),
     ]
     for datum, final in cases:
         resolved = None
@@ -116,13 +138,21 @@ def test_budget_monotonicity():
 
 
 def test_budget_exhaustion_reports_unknown():
-    verdict = decide(D("8: [5,3] [2,2,2,2] [3,3,1,1]"), SearchBudget(max_nodes=3))
+    verdict = decide(D("8: [5, 3] [2, 2, 2,2] [3, 3, 1,1]"), SearchBudget(max_nodes=3))
     assert verdict.status == UNKNOWN
     assert verdict.limit == "budget"
 
 
 def test_deterministic_witness():
-    datum = D("8: [5,3] [2,2,2,2] [3,2,2,1]")
+    datum = D("8: [5, 3] [2, 2, 2,2] [3, 2, 2,1]")
     first = decide(datum).certificate
     second = decide(datum).certificate
     assert first == second
+
+
+def test_forced_type_prune_node_count():
+    # the search is deterministic; losing the forced-type prune raises this
+    # count (it was 149,584 when the type was only checked at the leaf)
+    verdict = decide(D("10: [7, 1, 1,1] [7, 1, 1,1] [7, 1, 1,1]"))
+    assert verdict.status == REALIZABLE
+    assert verdict.stats.nodes == 51_547
