@@ -69,7 +69,7 @@ def _verdict_text(verdict, datum, input_text: str) -> str:
 
 def cmd_check(args) -> int:
     datum = parse_datum(args.datum)
-    engine = DecisionEngine(_budget(args), strict_corollaries=args.strict_corollaries)
+    engine = DecisionEngine(_budget(args))
     verdict = engine.decide(datum)
     if args.format == "json":
         print(json.dumps(verdict.to_json(datum, input_text=args.datum), sort_keys=True, indent=2))
@@ -160,8 +160,6 @@ def build_parser() -> _Parser:
     check = sub.add_parser("check", help="decide one datum", parents=[])
     check.add_argument("datum", help='datum text, e.g. "4: [3,1] [2,2] [2,2]"')
     check.add_argument("--format", choices=("text", "json"), default="text")
-    check.add_argument("--strict-corollaries", action="store_true",
-                       help="use the strict (>) length bounds; over-rejects, see docs")
     check.add_argument("--expect", choices=(REALIZABLE, EXCEPTIONAL, UNKNOWN))
     _add_budget_flags(check)
     check.set_defaults(func=cmd_check)

@@ -17,10 +17,10 @@ that any realizable structured datum must satisfy:
                 parts by 3d'/4, the even partition by d'/2, the rest by d'/4
   cor3.length   same structure: remaining lengths are at least 12
 
-Length rules default to the provable weak bounds (>=).  Strict mode (>)
-over-rejects: (4, {[2,2],[2,2],[2,2]}) is realizable with a non-paired
-length equal to s, which is why weak is the default and the scan audits the
-difference instead of asserting the strict form.
+Length rules default to the provable weak bounds (>=), the only form the
+decision engine and ``verify`` use.  The strict form (>) over-rejects:
+(4, {[2,2],[2,2],[2,2]}) is realizable with a non-paired length equal to s,
+so only the scan's audit applies it, to report the data it would misjudge.
 """
 
 from __future__ import annotations
@@ -206,11 +206,6 @@ def corollary_filter(datum: CandidateDatum, strict: bool = False) -> list[Filter
                             f"partition {m} has length {length}, needs {'>' if strict else '>='} 12",
                             match.pair, s, dp, third_divisor=2, index=m))
     return reports
-
-
-def structure_filters(datum: CandidateDatum, strict: bool = False) -> list[FilterReport]:
-    """All necessary-condition reports for the datum."""
-    return prop1_filter(datum) + corollary_filter(datum, strict=strict)
 
 
 def songxu_datum(k: int, x: int, y: int, first: Partition) -> CandidateDatum:

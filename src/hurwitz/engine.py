@@ -58,16 +58,10 @@ from .verdicts import (
 
 
 class DecisionEngine:
-    """Reusable decision context: budget, filter mode, and memo table."""
+    """Reusable decision context: budget and memo table."""
 
-    def __init__(
-        self,
-        budget: SearchBudget | None = None,
-        strict_corollaries: bool = False,
-        memoize: bool = True,
-    ) -> None:
+    def __init__(self, budget: SearchBudget | None = None, memoize: bool = True) -> None:
         self.budget = budget or SearchBudget()
-        self.strict_corollaries = strict_corollaries
         self.memoize = memoize
         self._memo: dict[CandidateDatum, Verdict] = {}
         self._nodes = 0
@@ -114,9 +108,7 @@ class DecisionEngine:
                 return Verdict(REALIZABLE, "base-case", certificate=witness)
             return Verdict(EXCEPTIONAL, "base-case")
 
-        reports = tuple(prop1_filter(datum)) + tuple(
-            corollary_filter(datum, strict=self.strict_corollaries)
-        )
+        reports = tuple(prop1_filter(datum)) + tuple(corollary_filter(datum))
         if reports:
             return Verdict(EXCEPTIONAL, f"filter:{reports[0].rule}", reasons=reports)
 
@@ -210,13 +202,9 @@ def _extend_chain(step: ReductionStep, certificate) -> ReductionChain:
     raise TypeError(f"cannot extend a chain with {type(certificate).__name__}")
 
 
-def decide(
-    datum: CandidateDatum | str,
-    budget: SearchBudget | None = None,
-    strict_corollaries: bool = False,
-) -> Verdict:
+def decide(datum: CandidateDatum | str, budget: SearchBudget | None = None) -> Verdict:
     """One-shot convenience wrapper around :class:`DecisionEngine`."""
-    return DecisionEngine(budget, strict_corollaries).decide(datum)
+    return DecisionEngine(budget).decide(datum)
 
 
 def verify(verdict: Verdict, datum: CandidateDatum) -> bool:

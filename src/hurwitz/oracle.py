@@ -18,7 +18,15 @@ here is complete:
     product it inverts is A o M o B, so each image M(y) = z fixes one
     product entry B^-1(y) -> A(z).  A branch dies when an entry closes a
     product cycle whose length the forced type has no unused part for, or
-    leaves an open chain of product entries longer than every unused part.
+    leaves an open chain of product entries longer than every unused part,
+  * while the first enumerated factor is built, each image is offered once
+    per class of points that the pinned factor's centralizer can swap
+    without moving a point already used: an unused point of a pinned
+    cycle that holds a used point is its own class, and the points of the
+    pinned cycles of one length that hold none form one class, represented
+    by its smallest point.  Conjugating a tuple under that centralizer keeps the pinned
+    factor and the factor built so far, and the representative is tried
+    first, so the first witness found does not change.
 
 One backtrack node is charged per assigned cycle; exceeding the node
 budget aborts the search with an ``unknown`` verdict, never a wrong one.
@@ -124,6 +132,15 @@ class _TupleSearch:
         self.images: list[list[int] | None] = [None] * n
         fixed = list(canonical_of_type(datum.partitions[self.fixed_pos]))
         self.images[self.fixed_pos] = fixed
+
+        # the pinned factor's cycles, longest first on consecutive points:
+        # each cycle's length and base (smallest point), each point's cycle,
+        # and how many points of each cycle the first middle factor uses
+        # (a cycle with none is untouched)
+        self.cycle_len = pinned = self.types[self.fixed_pos]
+        self.cycle_base = [sum(pinned[:c]) for c in range(len(pinned))]
+        self.cycle_of = [c for c, length in enumerate(pinned) for _ in range(length)]
+        self.touched = [0] * len(pinned)
 
         # union-find over points, seeded with the pinned factor's cycles
         self.parent = list(range(d))
@@ -278,6 +295,7 @@ class _TupleSearch:
         counts: dict[int, int] = {}
         for c in self.types[pos]:
             counts[c] = counts.get(c, 0) + 1
+        lengths = sorted(counts, reverse=True)
         img = [-1] * self.degree
         used = [False] * self.degree
         self.images[pos] = img
@@ -286,12 +304,12 @@ class _TupleSearch:
             self._track()
         self.tracking = last
         cap = self.degree - len(self.types[pos])
-        found = self._place_cycle(mi, img, used, counts, cap, 0)
+        found = self._place_cycle(mi, img, used, counts, lengths, cap, 0)
         self.tracking = False
         self.images[pos] = None
         return found
 
-    def _place_cycle(self, mi, img, used, counts, cap, scan_from) -> ConstellationWitness | None:
+    def _place_cycle(self, mi, img, used, counts, lengths, cap, scan_from) -> ConstellationWitness | None:
         leader = scan_from
         degree = self.degree
         while leader < degree and used[leader]:
@@ -299,30 +317,35 @@ class _TupleSearch:
         if leader == degree:
             return self._enter_middle(mi + 1)
         fut = self.future_cap[mi]
-        for length in sorted(counts, reverse=True):
+        used[leader] = True
+        if mi == 0:
+            self.touched[self.cycle_of[leader]] += 1
+        for length in lengths:
             left = counts[length]
             if not left:
                 continue
             counts[length] = left - 1
-            used[leader] = True
             if length == 1:
                 img[leader] = leader
                 self._tick()
                 if self.orbits - 1 <= cap + fut and self._link(leader, leader):
-                    found = self._place_cycle(mi, img, used, counts, cap, leader + 1)
+                    found = self._place_cycle(mi, img, used, counts, lengths, cap, leader + 1)
                     if found is not None:
                         return found
                     self._unlink()
                 img[leader] = -1
             else:
-                found = self._extend_cycle(mi, img, used, counts, cap - (length - 1), leader, leader, length - 1)
+                found = self._extend_cycle(mi, img, used, counts, lengths, cap - (length - 1),
+                                           leader, leader, length - 1)
                 if found is not None:
                     return found
-            used[leader] = False
             counts[length] = left
+        used[leader] = False
+        if mi == 0:
+            self.touched[self.cycle_of[leader]] -= 1
         return None
 
-    def _extend_cycle(self, mi, img, used, counts, cap_after, leader, tip, left) -> ConstellationWitness | None:
+    def _extend_cycle(self, mi, img, used, counts, lengths, cap_after, leader, tip, left) -> ConstellationWitness | None:
         if left == 0:
             img[tip] = leader
             self._tick()
@@ -335,24 +358,44 @@ class _TupleSearch:
                 if x == leader:
                     break
             if self.orbits - 1 <= cap_after + self.future_cap[mi] and self._link(tip, leader):
-                found = self._place_cycle(mi, img, used, counts, cap_after, leader + 1)
+                found = self._place_cycle(mi, img, used, counts, lengths, cap_after, leader + 1)
                 if found is not None:
                     return found
                 self._unlink()
             self._rollback(mark)
             img[tip] = -1
             return None
+        # In the first middle factor, the pinned factor's centralizer elements
+        # that fix every used point permute and rotate its untouched cycles of
+        # each length, so all their points are one class of equivalent images:
+        # only the smallest, the base of the first such cycle, is offered.
+        first = mi == 0
+        touched = self.touched
+        cycle_of = self.cycle_of
+        offered = 0  # length of the last untouched cycle offered
         for nxt in range(self.degree):
-            if used[nxt] or not self._link(tip, nxt):
+            if used[nxt]:
+                continue
+            if first:
+                c = cycle_of[nxt]
+                if not touched[c]:
+                    if nxt != self.cycle_base[c] or self.cycle_len[c] == offered:
+                        continue
+                    offered = self.cycle_len[c]
+            if not self._link(tip, nxt):
                 continue
             used[nxt] = True
+            if first:
+                touched[c] += 1
             img[tip] = nxt
-            found = self._extend_cycle(mi, img, used, counts, cap_after, leader, nxt, left - 1)
+            found = self._extend_cycle(mi, img, used, counts, lengths, cap_after, leader, nxt, left - 1)
             if found is not None:
                 return found
             self._unlink()
             img[tip] = -1
             used[nxt] = False
+            if first:
+                touched[c] -= 1
         return None
 
     def _leaf(self) -> ConstellationWitness | None:

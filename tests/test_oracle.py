@@ -88,6 +88,10 @@ ORDER_CASES = [
     (8, [[5, 3], [2, 2, 2, 2], [3, 3, 1, 1]], EXCEPTIONAL),
     (8, [[5, 3], [3, 2, 2, 1], [4, 1, 1, 1, 1], [2, 1, 1, 1, 1, 1, 1]], REALIZABLE),
     (8, [[4, 2, 2], [2, 2, 2, 2], [5, 1, 1, 1], [2, 1, 1, 1, 1, 1, 1]], EXCEPTIONAL),
+    (8, [[2, 2, 2, 2], [2, 2, 2, 2], [2, 2, 2, 2], [2, 2, 1, 1, 1, 1]], REALIZABLE),
+    (10, [[6, 2, 2], [4, 2, 2, 2], [6, 1, 1, 1, 1]], EXCEPTIONAL),
+    (10, [[7, 1, 1, 1], [7, 1, 1, 1], [7, 1, 1, 1]], REALIZABLE),
+    (10, [[5, 3, 2], [7, 1, 1, 1], [2, 2, 2, 2, 2]], REALIZABLE),
 ]
 
 
@@ -151,8 +155,29 @@ def test_deterministic_witness():
 
 
 def test_forced_type_prune_node_count():
-    # the search is deterministic; losing the forced-type prune raises this
-    # count (it was 149,584 when the type was only checked at the leaf)
+    # the search is deterministic; losing the forced-type prune or the
+    # pinned factor's centralizer break raises this count
     verdict = decide(D("10: [7, 1, 1,1] [7, 1, 1,1] [7, 1, 1,1]"))
     assert verdict.status == REALIZABLE
-    assert verdict.stats.nodes == 51_547
+    assert verdict.stats.nodes == 11_804
+
+
+def test_pruning_keeps_first_witness():
+    # witnesses of the search without the centralizer break: a prune may
+    # skip only branches under which the full search finds no witness
+    cases = [
+        ("10: [7,1,1,1] [7,1,1,1] [7,1,1,1]", (
+            (6, 1, 2, 3, 7, 4, 5, 8, 9, 0),
+            (0, 9, 1, 2, 3, 5, 6, 4, 7, 8),
+            (1, 2, 3, 4, 5, 6, 0, 7, 8, 9),
+        )),
+        ("8: [4,2,2] [4,1,1,1,1] [4,1,1,1,1] [4,1,1,1,1]", (
+            (1, 2, 3, 0, 5, 4, 7, 6),
+            (3, 0, 1, 2, 4, 5, 6, 7),
+            (4, 1, 2, 3, 5, 6, 0, 7),
+            (6, 1, 2, 3, 4, 0, 7, 5),
+        )),
+    ]
+    for text, perms in cases:
+        datum = D(text)
+        assert decide(datum).certificate == ConstellationWitness(datum.degree, perms), text
