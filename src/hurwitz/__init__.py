@@ -7,84 +7,27 @@ settle structured data; an exhaustive, certificate-producing permutation
 search settles everything else at small degree.
 """
 
-from .criteria import (
-    FilterReport,
-    StructureMatch,
-    corollary_filter,
-    detect_structures,
-    family_datum,
-    family_instances,
-    match_songxu_shape,
-    prop1_filter,
-    songxu_datum,
-    songxu_decide,
-)
-from .engine import DecisionEngine, ScanReport, decide, scan, verify
-from .oracle import ConstellationWitness, SearchBudget, check_witness
-from .oracle import decide as oracle_decide
-from .partitions import (
-    CandidateDatum,
-    DatumParseError,
-    Decomposition,
-    Partition,
-    decompose,
-    enumerate_candidates,
-    merged,
-    nontrivial_partitions,
-    parse_datum,
-    rh_defect,
-)
-from .reduction import (
-    ReductionChain,
-    ReductionStep,
-    children_thm1,
-    children_thm2,
-    children_thm3,
-    replay,
-)
-from .verdicts import EXCEPTIONAL, REALIZABLE, UNKNOWN, DecisionStats, Verdict
+from .criteria import detect_structures, family_instances
+from .engine import DecisionEngine, decide, scan, verify
+from .oracle import SearchBudget
+from .partitions import CandidateDatum, enumerate_candidates, parse_datum
+from .verdicts import EXCEPTIONAL, REALIZABLE, UNKNOWN, Verdict
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CandidateDatum",
-    "ConstellationWitness",
-    "DatumParseError",
     "DecisionEngine",
-    "DecisionStats",
-    "Decomposition",
     "EXCEPTIONAL",
-    "FilterReport",
-    "Partition",
     "REALIZABLE",
-    "ReductionChain",
-    "ReductionStep",
-    "ScanReport",
     "SearchBudget",
-    "StructureMatch",
     "UNKNOWN",
     "Verdict",
-    "check_witness",
-    "children_thm1",
-    "children_thm2",
-    "children_thm3",
-    "corollary_filter",
     "decide",
-    "decompose",
     "detect_structures",
     "enumerate_candidates",
-    "family_datum",
     "family_instances",
-    "match_songxu_shape",
-    "merged",
-    "nontrivial_partitions",
-    "oracle_decide",
     "parse_datum",
-    "prop1_filter",
-    "replay",
-    "rh_defect",
     "scan",
-    "songxu_datum",
-    "songxu_decide",
     "verify",
 ]

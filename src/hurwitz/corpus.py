@@ -17,7 +17,6 @@ class CorpusEntry:
     datum_text: str
     expected: str
     source: str
-    filter_only: bool = False
 
 
 @dataclass
@@ -40,7 +39,6 @@ def load_corpus() -> tuple[CorpusEntry, ...]:
             datum_text=obj["datum"],
             expected=obj["expected"],
             source=obj.get("source", ""),
-            filter_only=bool(obj.get("filter_only", False)),
         )
         datum = parse_datum(entry.datum_text)
         if rh_defect(datum) != 0:

@@ -4,9 +4,7 @@ The filters are one-sided: they only ever flag a datum as exceptional, never
 as realizable.  Each rule corresponds to a divisibility or size constraint
 that any realizable structured datum must satisfy:
 
-  prop1.case1   pair divisor s >= 4 forces every other partition gcd to 1
-  prop1.case2   pair divisor s = 3 allows other gcds 1 or 2 only, and gcd 2
-                additionally needs 4 | d'
+  prop1.case2   pair divisor s = 3 with an even partition needs 4 | d'
   prop1.case3   pair divisor s = 2 needs every other partition gcd to divide d'
   cor1.parts    under an s-pair, non-paired parts are bounded by d' = d/s
   cor1.length   under an s-pair, non-paired lengths are at least s
@@ -16,6 +14,13 @@ that any realizable structured datum must satisfy:
   cor3.parts    s=3 pair plus an even partition with 4 | d' bounds paired
                 parts by 3d'/4, the even partition by d'/2, the rest by d'/4
   cor3.length   same structure: remaining lengths are at least 12
+
+Balance leaves no other gcd >= 2 under a pair divisor s >= 4, and none >= 3
+under s = 3, so Proposition 1's rules for those cases have nothing to reject.
+
+Both filters take the tuple :func:`detect_structures` returns
+(``prop1_filter(matches)``, ``corollary_filter(datum, matches, strict)``), so
+a caller detects once and passes it to both.
 
 Length rules default to the provable weak bounds (>=), the only form the
 decision engine and ``verify`` use.  The strict form (>) over-rejects:
@@ -59,12 +64,10 @@ class FilterReport:
     subdegree: int
     third_divisor: int | None = None
     index: int | None = None
-    verdict_hint: str = EXCEPTIONAL
 
     def to_json(self) -> dict:
         return {
             "rule": self.rule,
-            "verdict_hint": self.verdict_hint,
             "detail": self.detail,
             "pair": list(self.pair),
             "s": self.divisor,
@@ -90,51 +93,45 @@ def detect_structures(datum: CandidateDatum) -> tuple[StructureMatch, ...]:
     return tuple(out)
 
 
-def prop1_filter(datum: CandidateDatum) -> list[FilterReport]:
+def prop1_filter(matches: tuple[StructureMatch, ...]) -> list[FilterReport]:
     """Divisibility constraints tying the pair divisor s to the other gcds."""
     reports = []
-    for match in detect_structures(datum):
+    for match in matches:
         s = match.divisor
         dp = match.subdegree
+        # nothing to check for s >= 4, nor for a gcd g >= 3 under s = 3: the
+        # pair's lengths (<= 2d/s) and that partition's (<= d/g) sum to <= d and
+        # each other length is <= d - 1, short of the (n-2)d + 2 balance needs
+        if s > 3:
+            continue
         for m, g in match.other_gcds:
             if g < 2:
                 continue
-            if s >= 4:
-                # unreachable on balanced data (the count bound already kills
-                # these), kept as a backstop
-                reports.append(FilterReport(
-                    "prop1.case1",
-                    f"pair divisor {s} >= 4 forces gcd 1 on partition {m}, found {g}",
-                    match.pair, s, dp, third_divisor=g, index=m))
-            elif s == 3:
-                if g not in (1, 2):
-                    reports.append(FilterReport(
-                        "prop1.case2",
-                        f"pair divisor 3 allows other gcds 1 or 2, partition {m} has gcd {g}",
-                        match.pair, s, dp, third_divisor=g, index=m))
-                elif dp % 4:
+            if s == 3:
+                if dp % 4:
                     reports.append(FilterReport(
                         "prop1.case2",
                         f"pair divisor 3 with even partition {m} needs 4 | d', but d'={dp}",
                         match.pair, s, dp, third_divisor=g, index=m))
-            else:  # s == 2
-                if dp % g:
-                    reports.append(FilterReport(
-                        "prop1.case3",
-                        f"gcd {g} of partition {m} does not divide d'={dp}",
-                        match.pair, s, dp, third_divisor=g, index=m))
+            elif dp % g:
+                reports.append(FilterReport(
+                    "prop1.case3",
+                    f"gcd {g} of partition {m} does not divide d'={dp}",
+                    match.pair, s, dp, third_divisor=g, index=m))
     return reports
 
 
-def corollary_filter(datum: CandidateDatum, strict: bool = False) -> list[FilterReport]:
-    """Part-size and length bounds implied by the reduction structures.
+def corollary_filter(
+    datum: CandidateDatum, matches: tuple[StructureMatch, ...], strict: bool = False
+) -> list[FilterReport]:
+    """Part-size and length bounds implied by the datum's structures ``matches``.
 
     ``strict`` switches the length rules from the provable weak form (>=) to
     the strict form (>); see the module docstring for why weak is default.
     """
     reports = []
     ps = datum.partitions
-    for match in detect_structures(datum):
+    for match in matches:
         i, j = match.pair
         s = match.divisor
         dp = match.subdegree

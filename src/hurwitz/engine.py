@@ -3,21 +3,23 @@
 The engine decides a datum by the cheapest sufficient means, in order:
 
   1. unbalanced data are exceptional outright (method ``rh``);
-  2. degree 1 and one- or two-partition data are settled directly
+  2. degree 1 and the two-partition datum [d] [d], the only balanced data
+     with fewer than three partitions, are realizable directly
      (``base-case``);
-  3. the weak-mode necessary-condition filters reject structured data
-     violating a bound (``filter:<rule>``);
+  3. the datum's structures are detected once; the weak-mode
+     necessary-condition filters reject structured data violating a bound
+     (``filter:<rule>``);
   4. data matching the double-cover family shape get the closed-form
      decision (``songxu``); a realizable answer is still certified through
      a reduction chain before being reported;
-  5. detected structures are reduced: if any child is realizable so is the
+  5. the same structures are reduced: if any child is realizable so is the
      parent; if one structure's children enumerate completely and all are
      exceptional, so is the parent (``reduction:<thm>``).  Unknown children
      only poison the exceptional conclusion;
   6. the exhaustive search settles whatever remains within budget
      (``oracle``), else the verdict is unknown with a stated limit.
 
-Verdicts are memoized per engine on the normalized datum.
+Every engine memoizes its verdicts on the normalized datum.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from typing import Callable, Iterator
 
 from . import oracle as oracle_mod
 from .criteria import (
+    StructureMatch,
     corollary_filter,
     detect_structures,
     match_songxu_shape,
@@ -60,9 +63,8 @@ from .verdicts import (
 class DecisionEngine:
     """Reusable decision context: budget and memo table."""
 
-    def __init__(self, budget: SearchBudget | None = None, memoize: bool = True) -> None:
+    def __init__(self, budget: SearchBudget | None = None) -> None:
         self.budget = budget or SearchBudget()
-        self.memoize = memoize
         self._memo: dict[CandidateDatum, Verdict] = {}
         self._nodes = 0
         self._cache_hits = 0
@@ -82,33 +84,27 @@ class DecisionEngine:
         return replace(core, stats=stats)
 
     def _lookup(self, datum: CandidateDatum) -> Verdict:
-        if self.memoize:
-            hit = self._memo.get(datum)
-            if hit is not None:
-                self._cache_hits += 1
-                return hit
+        hit = self._memo.get(datum)
+        if hit is not None:
+            self._cache_hits += 1
+            return hit
         verdict = self._pipeline(datum)
-        if self.memoize:
-            self._memo[datum] = verdict
+        self._memo[datum] = verdict
         return verdict
 
     def _pipeline(self, datum: CandidateDatum) -> Verdict:
         if rh_defect(datum) != 0:
             return Verdict(EXCEPTIONAL, "rh")
-        n = len(datum.partitions)
         if datum.degree == 1:
             return Verdict(REALIZABLE, "base-case", certificate=ReductionChain((), None))
-        if n == 1:
-            return Verdict(EXCEPTIONAL, "base-case")
-        if n == 2:
-            # balance forces two singletons [d],[d]: a cycle and its inverse
-            if all(len(p) == 1 for p in datum.partitions):
-                cyc = canonical_of_type(datum.partitions[0])
-                witness = ConstellationWitness(datum.degree, (cyc, inverse(cyc)))
-                return Verdict(REALIZABLE, "base-case", certificate=witness)
-            return Verdict(EXCEPTIONAL, "base-case")
+        if len(datum.partitions) == 2:
+            # balance forces [d] [d]: a cycle and its inverse
+            cyc = canonical_of_type(datum.partitions[0])
+            witness = ConstellationWitness(datum.degree, (cyc, inverse(cyc)))
+            return Verdict(REALIZABLE, "base-case", certificate=witness)
 
-        reports = tuple(prop1_filter(datum)) + tuple(corollary_filter(datum))
+        matches = detect_structures(datum)
+        reports = tuple(prop1_filter(matches) + corollary_filter(datum, matches))
         if reports:
             return Verdict(EXCEPTIONAL, f"filter:{reports[0].rule}", reasons=reports)
 
@@ -120,7 +116,7 @@ class DecisionEngine:
                 return Verdict(EXCEPTIONAL, "songxu")
             songxu_realizable = True
 
-        reduced = self._try_reductions(datum)
+        reduced = self._try_reductions(datum, matches)
         if reduced is not None:
             if songxu_realizable:
                 if reduced.status == EXCEPTIONAL:
@@ -146,11 +142,11 @@ class DecisionEngine:
     # -- reductions --
 
     def _reduction_plans(
-        self, datum: CandidateDatum
+        self, datum: CandidateDatum, matches: tuple[StructureMatch, ...]
     ) -> list[tuple[str, Callable[[], Iterator[ReductionStep]]]]:
         """Every admissible role assignment, cheapest child degree first."""
         plans: list[tuple[tuple, str, Callable[[], Iterator[ReductionStep]]]] = []
-        for match in detect_structures(datum):
+        for match in matches:
             key = (match.subdegree, "thm1", match.pair, match.divisor, 0)
             plans.append((key, "thm1", lambda m=match: children_thm1(datum, m)))
             if match.divisor == 2:
@@ -177,9 +173,11 @@ class DecisionEngine:
         plans.sort(key=lambda item: item[0])
         return [(theorem, factory) for _, theorem, factory in plans]
 
-    def _try_reductions(self, datum: CandidateDatum) -> Verdict | None:
+    def _try_reductions(
+        self, datum: CandidateDatum, matches: tuple[StructureMatch, ...]
+    ) -> Verdict | None:
         """Realizable/exceptional via some structure, or None when undecided."""
-        for theorem, factory in self._reduction_plans(datum):
+        for theorem, factory in self._reduction_plans(datum, matches):
             complete = True
             for step in factory():
                 child_verdict = self._lookup(step.child)
@@ -213,9 +211,9 @@ def verify(verdict: Verdict, datum: CandidateDatum) -> bool:
     Certificates are fully re-verified (witness invariants, chain replay and
     linkage, base certificate).  Filter, balance, and closed-form verdicts
     are re-derived; filters with the provable weak bounds only, so a filter
-    verdict that only the strict bounds support is rejected.  Exceptional
-    verdicts from the search or a reduction carry no certificate; for those
-    only structural consistency is checked.
+    verdict that only the strict bounds support is rejected.  No base case
+    is exceptional.  Exceptional verdicts from the search or a reduction
+    carry no certificate; for those only structural consistency is checked.
     """
     try:
         return _verify(verdict, datum)
@@ -235,13 +233,11 @@ def _verify(verdict: Verdict, datum: CandidateDatum) -> bool:
         method = verdict.method
         if method == "rh":
             return rh_defect(datum) != 0
-        if method == "base-case":
-            return rh_defect(datum) == 0 and len(datum.partitions) <= 2
         if method.startswith("filter:"):
             rule = method.split(":", 1)[1]
-            fired = {r.rule for r in prop1_filter(datum)}
-            fired.update(r.rule for r in corollary_filter(datum))
-            return rule in fired
+            matches = detect_structures(datum)
+            fired = prop1_filter(matches) + corollary_filter(datum, matches)
+            return rule in {r.rule for r in fired}
         if method == "songxu":
             shape = match_songxu_shape(datum)
             return shape is not None and songxu_decide(*shape).status == EXCEPTIONAL
@@ -323,19 +319,17 @@ def _scan_one(task: tuple[str, SearchBudget, str]) -> tuple[dict, dict]:
     if mode == "both":
         row["oracle_status"] = oracle_verdict.status
 
-    weak_flagged = bool(prop1_filter(datum)) or bool(corollary_filter(datum, strict=False))
-    strict_flagged = weak_flagged or bool(corollary_filter(datum, strict=True))
     statuses = [v.status for v in (pipeline_verdict, oracle_verdict) if v is not None]
     resolved = [s for s in statuses if s != UNKNOWN]
     meta = {
         "input": text,
         "status": resolved[0] if resolved else UNKNOWN,
         "disagree": len(set(resolved)) > 1,
+        # a weak false positive is already a disagreement in ``both`` mode
         "audit": (
             oracle_verdict is not None
             and oracle_verdict.status == REALIZABLE
-            and strict_flagged
-            and not weak_flagged
+            and bool(corollary_filter(datum, detect_structures(datum), strict=True))
         ),
     }
     return row, meta

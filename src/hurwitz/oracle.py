@@ -434,15 +434,11 @@ def decide(datum: CandidateDatum, budget: SearchBudget | None = None) -> Verdict
         return Verdict(UNKNOWN, "oracle", limit=LIMIT_DEGREE)
 
     start = time.perf_counter()
-    n = len(datum.partitions)
-    if n == 0:
+    if not datum.partitions:
         # balanced with no branch points means degree 1: the identity cover
         witness = ConstellationWitness(datum.degree, ())
         return Verdict(REALIZABLE, "oracle", certificate=witness,
                        stats=_stats(0, start))
-    if n == 1:
-        # a single nontrivial factor cannot multiply to the identity
-        return Verdict(EXCEPTIONAL, "oracle", stats=_stats(0, start))
 
     search = _TupleSearch(datum, budget)
     try:

@@ -150,7 +150,8 @@ def test_criterion_filter_soundness_scan():
         for n in range(1, 5):
             for datum in enumerate_candidates(degree, n):
                 candidates += 1
-                reports = prop1_filter(datum) + corollary_filter(datum, strict=False)
+                matches = detect_structures(datum)
+                reports = prop1_filter(matches) + corollary_filter(datum, matches, strict=False)
                 if not reports:
                     continue
                 flagged += 1
@@ -216,7 +217,7 @@ def test_criterion_family_regression():
             failures.append(f"no instances for k={k}")
         for datum, rule in instances:
             total += 1
-            rules = {r.rule for r in corollary_filter(datum, strict=False)}
+            rules = {r.rule for r in corollary_filter(datum, detect_structures(datum), strict=False)}
             if rule not in rules:
                 failures.append(f"{datum.render()} missing {rule}")
             if oracle_status(datum) != EXCEPTIONAL:

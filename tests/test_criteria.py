@@ -24,6 +24,14 @@ def P(*parts):
     return Partition.of(parts)
 
 
+def prop1(datum):
+    return prop1_filter(detect_structures(datum))
+
+
+def corollaries(datum, strict=False):
+    return corollary_filter(datum, detect_structures(datum), strict=strict)
+
+
 # -- structure detection --
 
 
@@ -61,51 +69,44 @@ def test_detect_structures_mixed():
 
 
 def test_prop1_case3():
-    reports = prop1_filter(D("12: [2,2,2,2,2,2] [2,2,2,2,2,2] [8,4]"))
+    reports = prop1(D("12: [2,2,2,2,2,2] [2,2,2,2,2,2] [8,4]"))
     assert any(r.rule == "prop1.case3" and r.third_divisor == 4 for r in reports)
 
 
 def test_prop1_case2():
-    reports = prop1_filter(D("18: [3,3,3,3,3,3] [3,3,3,3,3,3] [4,2,2,2,2,2,2,2]"))
+    reports = prop1(D("18: [3,3,3,3,3,3] [3,3,3,3,3,3] [4,2,2,2,2,2,2,2]"))
     assert any(r.rule == "prop1.case2" for r in reports)
 
 
 def test_prop1_passes_compatible_structure():
-    assert prop1_filter(D("4: [2,2] [2,2] [2,2]")) == []
+    assert prop1(D("4: [2,2] [2,2] [2,2]")) == []
 
 
 # -- corollary rules --
 
 
 def test_cor1_parts_rejects_oversized_part():
-    reports = corollary_filter(D("4: [2,2] [2,2] [3,1]"))
+    reports = corollaries(D("4: [2,2] [2,2] [3,1]"))
     assert any(r.rule == "cor1.parts" for r in reports)
 
 
 def test_cor1_parts_on_family_instance():
-    reports = corollary_filter(D("6: [4,1,1] [2,1,1,1,1] [2,2,2] [2,2,2]"))
+    reports = corollaries(D("6: [4,1,1] [2,1,1,1,1] [2,2,2] [2,2,2]"))
     assert any(r.rule == "cor1.parts" for r in reports)
 
 
 def test_weak_passes_strict_flags():
     datum = D("4: [2,2] [2,2] [2,2]")
-    assert corollary_filter(datum, strict=False) == []
-    strict = corollary_filter(datum, strict=True)
+    assert corollaries(datum, strict=False) == []
+    strict = corollaries(datum, strict=True)
     assert any(r.rule == "cor1.length" for r in strict)
 
 
-def test_filters_are_one_sided():
-    for report in corollary_filter(D("4: [2,2] [2,2] [3,1]")) + prop1_filter(
-        D("12: [2,2,2,2,2,2] [2,2,2,2,2,2] [8,4]")
-    ):
-        assert report.verdict_hint == EXCEPTIONAL
-
-
 def test_report_json_shape():
-    report = corollary_filter(D("4: [2,2] [2,2] [3,1]"))[0]
+    report = corollaries(D("4: [2,2] [2,2] [3,1]"))[0]
     payload = report.to_json()
     assert payload["rule"] == "cor1.parts"
-    assert set(payload) == {"rule", "verdict_hint", "detail", "pair", "s", "t", "d_prime", "index"}
+    assert set(payload) == {"rule", "detail", "pair", "s", "t", "d_prime", "index"}
 
 
 # -- closed-form family --

@@ -1,9 +1,11 @@
 import dataclasses
 
+import hurwitz.engine as engine_mod
+from hurwitz.criteria import detect_structures
 from hurwitz.engine import DecisionEngine, decide, scan, verify
 from hurwitz.oracle import ConstellationWitness, SearchBudget
 from hurwitz.oracle import decide as oracle_decide
-from hurwitz.partitions import CandidateDatum, enumerate_candidates, parse_datum
+from hurwitz.partitions import CandidateDatum, enumerate_candidates, parse_datum, rh_defect
 from hurwitz.reduction import ReductionChain
 from hurwitz.verdicts import EXCEPTIONAL, REALIZABLE, UNKNOWN, Verdict
 
@@ -30,8 +32,6 @@ def test_pipeline_klein_chain():
 
 def test_pipeline_zheng_oracle_method():
     datum = D("8: [5,3] [2,2,2,2] [3,3,1,1]")
-    from hurwitz.criteria import detect_structures
-
     assert detect_structures(datum) == ()  # nothing structured to reduce
     verdict = decide(datum)
     assert verdict.status == EXCEPTIONAL
@@ -95,6 +95,13 @@ def test_verify_exceptional_methods():
     assert verify(decide(zheng), zheng)
 
 
+def test_verify_rejects_exceptional_base_case():
+    # no base case is exceptional: these three are realizable
+    for datum in (CandidateDatum.make(1, []), D("2: [2] [2]"), D("5: [5] [5]")):
+        assert decide(datum).status == REALIZABLE
+        assert not verify(Verdict(EXCEPTIONAL, "base-case"), datum)
+
+
 def test_verify_rejects_strict_only_filter_verdict():
     # realizable, but the strict (unsound) cor1 length bound flags it
     klein = D("4: [2,2] [2,2] [2,2]")
@@ -110,14 +117,52 @@ def test_songxu_realizable_engine_has_certificate():
     assert verify(verdict, datum)
 
 
+def _outcome(verdict):
+    return (verdict.status, verdict.method, verdict.certificate, verdict.reasons, verdict.limit)
+
+
 def test_memoization_transparent():
-    texts = [d.render() for d in enumerate_candidates(6, 3)]
-    with_memo = DecisionEngine(memoize=True)
-    without_memo = DecisionEngine(memoize=False)
+    texts = [d.render() for d in enumerate_candidates(6, 3)] + [
+        d.render() for d in enumerate_candidates(8, 4) if detect_structures(d)
+    ]
+    shared = DecisionEngine()
     for text in texts:
-        assert with_memo.decide(text).status == without_memo.decide(text).status
-    repeat = with_memo.decide(texts[0])
+        assert _outcome(shared.decide(text)) == _outcome(DecisionEngine().decide(text)), text
+    repeat = shared.decide(texts[0])
     assert repeat.stats.cache_hits >= 1
+
+
+def test_structures_detected_once_per_pipeline(monkeypatch):
+    detected = []
+    pipelines = []
+    real_detect = engine_mod.detect_structures
+    real_pipeline = DecisionEngine._pipeline
+
+    def counting_detect(datum):
+        detected.append(datum)
+        return real_detect(datum)
+
+    def counting_pipeline(self, datum):
+        # past the balance check and the degree-1 and [d] [d] base cases
+        if rh_defect(datum) == 0 and len(datum.partitions) > 2:
+            pipelines.append(datum)
+        return real_pipeline(self, datum)
+
+    monkeypatch.setattr(engine_mod, "detect_structures", counting_detect)
+    monkeypatch.setattr(DecisionEngine, "_pipeline", counting_pipeline)
+    texts = (
+        "4: [3,1] [2,2] [2,2]",  # filter
+        "4: [2,2] [2,2] [2,2]",  # thm2
+        "6: [3,3] [2,2,2] [2,2,2]",  # songxu
+        "12: [3,3,3,3] [3,3,3,3] [2,2,2,2,2,2]",  # thm3
+        "8: [2,2,2,2] [2,2,2,2] [3,2,2,1] [2,2,1,1,1,1]",  # thm1, children past base cases
+        "12: [9,3] [3,3,3,3] [2,2,2,2,1,1,1,1]",  # thm1, children past base cases
+        "8: [5,3] [2,2,2,2] [3,3,1,1]",  # no structure: the search
+    )
+    for text in texts:
+        DecisionEngine().decide(text)
+    assert len(pipelines) > len(texts)  # child decisions are counted too
+    assert detected == pipelines
 
 
 def test_engine_budget_monotone():
