@@ -214,14 +214,11 @@ def verify(verdict: Verdict, datum: CandidateDatum) -> bool:
     verdict that only the strict bounds support is rejected.  No base case
     is exceptional.  Exceptional verdicts from the search or a reduction
     carry no certificate; for those only structural consistency is checked.
+    A malformed certificate is rejected: a witness of the wrong lengths or
+    with images that are not a permutation of integers, or a chain whose
+    steps or base are of the wrong type.  An exception raised while checking
+    propagates, so a crash in a checker is never reported as "invalid".
     """
-    try:
-        return _verify(verdict, datum)
-    except Exception:
-        return False
-
-
-def _verify(verdict: Verdict, datum: CandidateDatum) -> bool:
     if verdict.status == REALIZABLE:
         cert = verdict.certificate
         if isinstance(cert, ConstellationWitness):
@@ -250,6 +247,10 @@ def _verify(verdict: Verdict, datum: CandidateDatum) -> bool:
 
 
 def _verify_chain(datum: CandidateDatum, chain: ReductionChain) -> bool:
+    if not isinstance(chain.steps, tuple) or not all(isinstance(s, ReductionStep) for s in chain.steps):
+        return False
+    if chain.base is not None and not isinstance(chain.base, ConstellationWitness):
+        return False
     current = datum
     for step in chain.steps:
         try:

@@ -11,22 +11,28 @@ here is complete:
   * the factor with the second-largest class is never enumerated; it is
     forced by the product condition and checked by cycle type,
   * the remaining factors are built cycle by cycle, smallest class first,
-    under a union-find orbit bound: a branch dies when the cycles still to
-    be placed cannot merge the current orbits into one,
   * the forced factor's cycle type is checked incrementally while the last
     enumerated factor M is built: with every other factor fixed, the
     product it inverts is A o M o B, so each image M(y) = z fixes one
     product entry B^-1(y) -> A(z).  A branch dies when an entry closes a
     product cycle whose length the forced type has no unused part for, or
     leaves an open chain of product entries longer than every unused part,
+  * a union-find orbit bound is exact at every assigned image: each image
+    is united with its preimage as it is placed, and a branch dies when the
+    merges still possible cannot join the orbits into one.  Those are the
+    edges left in the cycle being built, the rest of its factor, the later
+    factors, and the forced factor's d - len(type) merges less one for each
+    product entry already known to join two open chains.  A complete tuple
+    is therefore transitive, and the leaf only assembles the witness,
   * while the first enumerated factor is built, each image is offered once
     per class of points that the pinned factor's centralizer can swap
     without moving a point already used: an unused point of a pinned
     cycle that holds a used point is its own class, and the points of the
     pinned cycles of one length that hold none form one class, represented
-    by its smallest point.  Conjugating a tuple under that centralizer keeps the pinned
-    factor and the factor built so far, and the representative is tried
-    first, so the first witness found does not change.
+    by its smallest point.  Conjugating a tuple under that centralizer
+    keeps the pinned factor and the factor built so far, and the
+    representative is tried first, so the first witness found does not
+    change.
 
 One backtrack node is charged per assigned cycle; exceeding the node
 budget aborts the search with an ``unknown`` verdict, never a wrong one.
@@ -92,16 +98,22 @@ class ConstellationWitness:
 
 
 def check_witness(datum: CandidateDatum, witness: ConstellationWitness) -> bool:
-    """Re-verify a witness from scratch: types, identity product, transitivity."""
+    """Re-verify a witness from scratch: types, identity product, transitivity.
+
+    A malformed witness is rejected: the wrong number of permutations, or one
+    that is not a sequence of ``degree`` integer images permuting 0..d-1.
+    """
+    perms = witness.perms
     if witness.degree != datum.degree:
         return False
-    if len(witness.perms) != len(datum.partitions):
+    if not isinstance(perms, (tuple, list)) or len(perms) != len(datum.partitions):
         return False
-    for p in witness.perms:
-        if len(p) != datum.degree or not is_perm(p):
-            return False
-    for p, part in zip(witness.perms, datum.partitions):
-        if cycle_type(p) != part:
+    if not all(isinstance(p, (tuple, list)) and len(p) == datum.degree for p in perms):
+        return False
+    if not {type(x) for p in perms for x in p} <= {int}:
+        return False
+    for p, part in zip(perms, datum.partitions):
+        if not is_perm(p) or cycle_type(p) != part:
             return False
     acc = identity(datum.degree)
     for p in witness.perms:
@@ -130,8 +142,7 @@ class _TupleSearch:
         forced_type = self.types[self.forced_pos]
 
         self.images: list[list[int] | None] = [None] * n
-        fixed = list(canonical_of_type(datum.partitions[self.fixed_pos]))
-        self.images[self.fixed_pos] = fixed
+        self.images[self.fixed_pos] = list(canonical_of_type(datum.partitions[self.fixed_pos]))
 
         # the pinned factor's cycles, longest first on consecutive points:
         # each cycle's length and base (smallest point), each point's cycle,
@@ -142,132 +153,55 @@ class _TupleSearch:
         self.cycle_of = [c for c, length in enumerate(pinned) for _ in range(length)]
         self.touched = [0] * len(pinned)
 
-        # union-find over points, seeded with the pinned factor's cycles
-        self.parent = list(range(d))
+        # union-find over points without path compression, seeded with the
+        # pinned factor's cycles: each point hangs below its cycle's base
+        self.parent = [self.cycle_base[c] for c in self.cycle_of]
         self.weight = [1] * d
-        self.orbits = d
-        self.trail: list[int] = []
-        for x in range(d):
-            self._union(x, fixed[x])
+        for base, length in zip(self.cycle_base, pinned):
+            self.weight[base] = length
+        self.orbits = len(pinned)
 
-        # merge capacity of everything scheduled after middle mi (forced last)
-        forced_cap = d - len(forced_type)
+        # merge capacity of the middles scheduled after middle mi, and the
+        # merges the forced factor can still make: d - len(forced type) at
+        # first, one less for each product entry that joins two open chains
         caps = [d - len(self.types[p]) for p in self.middles]
-        self.future_cap = [sum(caps[mi + 1:]) + forced_cap for mi in range(len(caps) + 1)]
+        self.later_cap = [sum(caps[mi + 1:]) for mi in range(len(caps) + 1)]
+        self.forced_left = d - len(forced_type)
 
-        # the product R o L whose inverse is the forced factor, filled in while
-        # the last middle is built; its known entries form open chains, and
-        # each chain's other end and point count are kept at both of its ends
+        # the product R o L whose inverse is the forced factor composes the
+        # factors after it, then those before it, cyclically.  Its entries are
+        # known one by one while the last middle is built; they form open
+        # chains, and each chain's other end and point count are kept at both
+        # of its ends
+        self.around = [(self.forced_pos + j) % n for j in range(1, n)]
         self.tracking = False
         self.a_map: Perm = ()
         self.b_inv: Perm = ()
-        self.prod = [-1] * d
         self.chain_end = list(range(d))
         self.chain_len = [1] * d
         self.unused = [0] * (d + 1)
         for c in forced_type:
             self.unused[c] += 1
         self.lengths = sorted(set(forced_type), reverse=True)
-        self.links: list[tuple[int, ...]] = []
 
         self.nodes = 0
         self.max_nodes = budget.max_nodes
-
-    # -- union-find with rollback (no path compression) --
-
-    def _find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def _union(self, a: int, b: int) -> None:
-        ra, rb = self._find(a), self._find(b)
-        if ra == rb:
-            return
-        if self.weight[ra] < self.weight[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.weight[ra] += self.weight[rb]
-        self.orbits -= 1
-        self.trail.append(rb)
-
-    def _rollback(self, mark: int) -> None:
-        trail = self.trail
-        while len(trail) > mark:
-            rb = trail.pop()
-            ra = self.parent[rb]
-            self.parent[rb] = rb
-            self.weight[ra] -= self.weight[rb]
-            self.orbits += 1
-
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise BudgetExhausted
 
     # -- the forced factor's product, one entry per image of the last middle --
 
     def _track(self) -> None:
         """Write R o L = A o M o B, M the last middle (identity if there is none)."""
-        n = len(self.types)
-        k = self.forced_pos
-        # R o L composes the factors after k, then those before it, cyclically
-        seq = [(k + j) % n for j in range(1, n)]
+        seq = self.around
         t = seq.index(self.middles[-1]) if self.middles else len(seq)
         self.a_map = self._compose(seq[:t])
         self.b_inv = inverse(self._compose(seq[t + 1:]))
+        self.tracking = True
 
     def _compose(self, positions: list[int]) -> Perm:
         acc = list(range(self.degree))
         for pos in positions:
             acc = [acc[y] for y in self.images[pos]]
         return tuple(acc)
-
-    def _link(self, y: int, z: int) -> bool:
-        """Record M(y) = z, which fixes the product entry B^-1(y) -> A(z).
-
-        Returns False, recording nothing, when that entry closes a product
-        cycle whose length has no unused part in the forced type, or leaves
-        an open chain longer than every unused part.
-        """
-        if not self.tracking:
-            return True
-        u = self.b_inv[y]
-        v = self.a_map[z]
-        ends = self.chain_end
-        lens = self.chain_len
-        start = ends[u]  # u ends an open chain; v starts one
-        if start == v:
-            length = lens[u]
-            if not self.unused[length]:
-                return False
-            self.unused[length] -= 1
-            self.links.append((length,))
-        else:
-            end = ends[v]
-            merged = lens[u] + lens[v]
-            if merged > self._longest_unused():
-                return False
-            self.links.append((start, u, lens[u], end, v, lens[v]))
-            ends[start] = end
-            ends[end] = start
-            lens[start] = lens[end] = merged
-        self.prod[u] = v
-        return True
-
-    def _unlink(self) -> None:
-        if not self.tracking:
-            return
-        entry = self.links.pop()
-        if len(entry) == 1:
-            self.unused[entry[0]] += 1
-            return
-        start, u, len_u, end, v, len_v = entry
-        self.chain_end[start] = u
-        self.chain_end[end] = v
-        self.chain_len[start] = len_u
-        self.chain_len[end] = len_v
 
     def _longest_unused(self) -> int:
         for length in self.lengths:
@@ -280,16 +214,15 @@ class _TupleSearch:
     def run(self) -> ConstellationWitness | None:
         if self.middles:
             return self._enter_middle(0)
-        # two factors: nothing is enumerated, the product is the pinned factor
+        # two factors: nothing is enumerated, the product is the pinned factor;
+        # its entries are linked as the fixed points of an identity middle,
+        # which costs no nodes since no factor is enumerated
         self._track()
-        self.tracking = True
-        for x in range(self.degree):
-            if not self._link(x, x):
-                return None
-        return self._leaf()
+        d = self.degree
+        return self._place_cycle(0, [-1] * d, [False] * d, {1: d}, [1], 0, 0)
 
     def _enter_middle(self, mi: int) -> ConstellationWitness | None:
-        if mi == len(self.middles):
+        if mi >= len(self.middles):
             return self._leaf()
         pos = self.middles[mi]
         counts: dict[int, int] = {}
@@ -299,10 +232,8 @@ class _TupleSearch:
         img = [-1] * self.degree
         used = [False] * self.degree
         self.images[pos] = img
-        last = mi == len(self.middles) - 1
-        if last:
+        if mi == len(self.middles) - 1:
             self._track()
-        self.tracking = last
         cap = self.degree - len(self.types[pos])
         found = self._place_cycle(mi, img, used, counts, lengths, cap, 0)
         self.tracking = False
@@ -316,7 +247,6 @@ class _TupleSearch:
             leader += 1
         if leader == degree:
             return self._enter_middle(mi + 1)
-        fut = self.future_cap[mi]
         used[leader] = True
         if mi == 0:
             self.touched[self.cycle_of[leader]] += 1
@@ -325,20 +255,10 @@ class _TupleSearch:
             if not left:
                 continue
             counts[length] = left - 1
-            if length == 1:
-                img[leader] = leader
-                self._tick()
-                if self.orbits - 1 <= cap + fut and self._link(leader, leader):
-                    found = self._place_cycle(mi, img, used, counts, lengths, cap, leader + 1)
-                    if found is not None:
-                        return found
-                    self._unlink()
-                img[leader] = -1
-            else:
-                found = self._extend_cycle(mi, img, used, counts, lengths, cap - (length - 1),
-                                           leader, leader, length - 1)
-                if found is not None:
-                    return found
+            found = self._extend_cycle(mi, img, used, counts, lengths, cap - (length - 1),
+                                       leader, leader, length - 1)
+            if found is not None:
+                return found
             counts[length] = left
         used[leader] = False
         if mi == 0:
@@ -346,77 +266,143 @@ class _TupleSearch:
         return None
 
     def _extend_cycle(self, mi, img, used, counts, lengths, cap_after, leader, tip, left) -> ConstellationWitness | None:
-        if left == 0:
-            img[tip] = leader
-            self._tick()
-            mark = len(self.trail)
-            x = leader
-            while True:
-                y = img[x]
-                self._union(x, y)
-                x = y
-                if x == leader:
-                    break
-            if self.orbits - 1 <= cap_after + self.future_cap[mi] and self._link(tip, leader):
-                found = self._place_cycle(mi, img, used, counts, lengths, cap_after, leader + 1)
+        """Try every image of ``tip``: an unused point while ``left`` points of
+        the cycle are still to come, else the leader, which closes the cycle
+        (a fixed point is closed at once).
+
+        Each image is one step.  In the last middle it links the product entry
+        B^-1(tip) -> A(image) and prunes on the forced type; an entry that
+        joins two open chains spends one of the forced factor's merges.  It
+        unites tip with its image, and it prunes unless the merges still
+        possible can join the orbits into one: the ``left - 1`` edges of this
+        cycle that can still merge, the rest of this middle (``cap_after``),
+        the later middles and the forced factor's ``forced_left``.  Every
+        state it changes is restored before the next image.
+        """
+        # merges still possible beyond those the orbits need; a step's own
+        # union adds one, a step's join spends one, and it must stay >= 0
+        surplus = (max(left - 1, 0) + cap_after + self.later_cap[mi] + self.forced_left
+                   - self.orbits + 1)
+        tracking = self.tracking
+        if tracking:
+            # all of tip's product entry but its image is known at this level
+            ends = self.chain_end
+            lens = self.chain_len
+            unused = self.unused
+            a_map = self.a_map
+            u = self.b_inv[tip]  # ends an open chain that begins at start
+            start = ends[u]
+            len_u = lens[u]
+            longest = self._longest_unused()
+        if left:
+            candidates = range(self.degree)
+            parent = self.parent
+            weight = self.weight
+            root = tip
+            while parent[root] != root:
+                root = parent[root]
+            # In the first middle factor, the pinned factor's centralizer
+            # elements that fix every used point permute and rotate its
+            # untouched cycles of each length, so all their points are one
+            # class of equivalent images: only the smallest, the base of the
+            # first such cycle, is offered.
+            first = mi == 0
+            touched = self.touched
+            cycle_of = self.cycle_of
+            cycle_base = self.cycle_base
+            cycle_len = self.cycle_len
+            offered = 0  # length of the last untouched cycle offered
+        else:
+            candidates = (leader,)
+            # the identity standing in for the middle of a two-factor datum
+            # is not enumerated, so its fixed points cost no nodes
+            charged = mi < len(self.middles)
+        for nxt in candidates:
+            if left:
+                if used[nxt]:
+                    continue
+                if first:
+                    c = cycle_of[nxt]
+                    if not touched[c]:
+                        if nxt != cycle_base[c] or cycle_len[c] == offered:
+                            continue
+                        offered = cycle_len[c]
+            elif charged:
+                self.nodes += 1
+                if self.nodes > self.max_nodes:
+                    raise BudgetExhausted
+            spent = 0
+            if tracking:
+                v = a_map[nxt]  # begins an open chain that ends at end
+                if start == v:
+                    # closes a product cycle of len_u points
+                    if not unused[len_u]:
+                        continue
+                    unused[len_u] -= 1
+                else:
+                    end = ends[v]
+                    len_v = lens[v]
+                    if len_u + len_v > longest:
+                        continue
+                    ends[start] = end
+                    ends[end] = start
+                    lens[start] = lens[end] = len_u + len_v
+                    # u and v need no union: A and B are products of factors
+                    # whose edges are all united, so u ~ tip ~ nxt ~ v already
+                    spent = 1
+            merged = False
+            if left:
+                b = nxt
+                while parent[b] != b:
+                    b = parent[b]
+                if b != root:
+                    a = root
+                    if weight[a] < weight[b]:
+                        a, b = b, a
+                    parent[b] = a
+                    weight[a] += weight[b]
+                    self.orbits -= 1
+                    merged = True
+            if surplus + merged >= spent:
+                img[tip] = nxt
+                self.forced_left -= spent
+                if left:
+                    used[nxt] = True
+                    if first:
+                        touched[c] += 1
+                    found = self._extend_cycle(mi, img, used, counts, lengths, cap_after,
+                                               leader, nxt, left - 1)
+                    used[nxt] = False
+                    if first:
+                        touched[c] -= 1
+                else:
+                    found = self._place_cycle(mi, img, used, counts, lengths, cap_after,
+                                              leader + 1)
                 if found is not None:
                     return found
-                self._unlink()
-            self._rollback(mark)
-            img[tip] = -1
-            return None
-        # In the first middle factor, the pinned factor's centralizer elements
-        # that fix every used point permute and rotate its untouched cycles of
-        # each length, so all their points are one class of equivalent images:
-        # only the smallest, the base of the first such cycle, is offered.
-        first = mi == 0
-        touched = self.touched
-        cycle_of = self.cycle_of
-        offered = 0  # length of the last untouched cycle offered
-        for nxt in range(self.degree):
-            if used[nxt]:
-                continue
-            if first:
-                c = cycle_of[nxt]
-                if not touched[c]:
-                    if nxt != self.cycle_base[c] or self.cycle_len[c] == offered:
-                        continue
-                    offered = self.cycle_len[c]
-            if not self._link(tip, nxt):
-                continue
-            used[nxt] = True
-            if first:
-                touched[c] += 1
-            img[tip] = nxt
-            found = self._extend_cycle(mi, img, used, counts, lengths, cap_after, leader, nxt, left - 1)
-            if found is not None:
-                return found
-            self._unlink()
-            img[tip] = -1
-            used[nxt] = False
-            if first:
-                touched[c] -= 1
+                self.forced_left += spent
+                img[tip] = -1
+            if merged:
+                parent[b] = b
+                weight[a] -= weight[b]
+                self.orbits += 1
+            if tracking:
+                if spent:
+                    ends[start] = u
+                    ends[end] = v
+                    lens[start] = len_u
+                    lens[end] = len_v
+                else:
+                    unused[len_u] += 1
         return None
 
-    def _leaf(self) -> ConstellationWitness | None:
+    def _leaf(self) -> ConstellationWitness:
         # every product entry is known and every cycle closed within the
-        # forced type, so only transitivity is left to check
-        d = self.degree
-        prod = self.prod
-        mark = len(self.trail)
-        for x in range(d):
-            self._union(x, prod[x])
-        transitive = self.orbits == 1
-        self._rollback(mark)
-        if not transitive:
-            return None
-        perms = []
-        for pos in range(len(self.types)):
-            if pos == self.forced_pos:
-                perms.append(inverse(tuple(prod)))
-            else:
-                perms.append(tuple(self.images[pos]))
-        return ConstellationWitness(d, tuple(perms))
+        # forced type, and the orbit bound held at the last assignment with
+        # no merge left, so the tuple is transitive
+        perms = list(self.images)
+        perms[self.forced_pos] = inverse(self._compose(self.around))
+        return ConstellationWitness(self.degree, tuple(tuple(p) for p in perms))
 
 
 def decide(datum: CandidateDatum, budget: SearchBudget | None = None) -> Verdict:

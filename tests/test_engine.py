@@ -1,5 +1,7 @@
 import dataclasses
 
+import pytest
+
 import hurwitz.engine as engine_mod
 from hurwitz.criteria import detect_structures
 from hurwitz.engine import DecisionEngine, decide, scan, verify
@@ -86,6 +88,55 @@ def test_verify_rejects_missing_certificate():
     datum = D("3: [3] [2,1] [2,1]")
     verdict = dataclasses.replace(decide(datum), certificate=None)
     assert not verify(verdict, datum)
+
+
+def test_verify_rejects_malformed_witness():
+    datum = D("3: [3] [2,1] [2,1]")
+    verdict = decide(datum)
+    perms = verdict.certificate.perms
+    malformed = [
+        perms[:2],  # too few permutations
+        perms + (perms[0],),  # too many
+        (perms[0][:2],) + perms[1:],  # too short
+        (perms[0] + (3,),) + perms[1:],  # too long
+        ((1.0, 2, 0),) + perms[1:],  # non-integer images
+        (("1", "2", "0"),) + perms[1:],
+        ((1, 2, None),) + perms[1:],
+        ((1, 2, 3),) + perms[1:],  # out of range
+        ((1, 2, -1),) + perms[1:],
+        ((1, 1, 0),) + perms[1:],  # not a bijection
+        (7,) + perms[1:],  # not a sequence
+        None,
+    ]
+    for bad in malformed:
+        tampered = dataclasses.replace(verdict, certificate=ConstellationWitness(3, bad))
+        assert verify(tampered, datum) is False, bad
+
+
+def test_verify_rejects_malformed_chain():
+    datum = D("4: [2,2] [2,2] [2,2]")
+    verdict = decide(datum)
+    chain = verdict.certificate
+    malformed = [
+        ReductionChain((None,), chain.base),
+        ReductionChain(list(chain.steps), chain.base),
+        ReductionChain(chain.steps, "witness"),
+        ReductionChain(5, None),
+    ]
+    for bad in malformed:
+        assert verify(dataclasses.replace(verdict, certificate=bad), datum) is False, bad
+
+
+def test_verify_propagates_checker_crash(monkeypatch):
+    datum = D("3: [3] [2,1] [2,1]")
+    verdict = decide(datum)
+
+    def crash(datum, witness):
+        raise RuntimeError("checker crashed")
+
+    monkeypatch.setattr(engine_mod, "check_witness", crash)
+    with pytest.raises(RuntimeError, match="checker crashed"):
+        verify(verdict, datum)
 
 
 def test_verify_exceptional_methods():

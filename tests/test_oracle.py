@@ -3,6 +3,8 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hurwitz.oracle import (
     ConstellationWitness,
@@ -12,7 +14,7 @@ from hurwitz.oracle import (
     decide,
 )
 from hurwitz.partitions import CandidateDatum, Partition, enumerate_candidates, parse_datum
-from hurwitz.perms import relabel
+from hurwitz.perms import inverse, relabel
 from hurwitz.verdicts import EXCEPTIONAL, REALIZABLE, UNKNOWN
 from oracles import reference_decide
 
@@ -43,7 +45,9 @@ def test_zheng_pair():
 
 def test_base_shapes():
     assert decide(CandidateDatum.make(1, [])).status == REALIZABLE
-    assert decide(D("5: [5] [5]")).status == REALIZABLE
+    two = decide(D("5: [5] [5]"))
+    assert two.status == REALIZABLE
+    assert two.stats.nodes == 0  # nothing is enumerated
 
 
 def test_rh_precondition():
@@ -155,11 +159,12 @@ def test_deterministic_witness():
 
 
 def test_forced_type_prune_node_count():
-    # the search is deterministic; losing the forced-type prune or the
-    # pinned factor's centralizer break raises this count
+    # the search is deterministic; losing the forced-type prune, the
+    # pinned factor's centralizer break or either union of the orbit bound
+    # raises this count
     verdict = decide(D("10: [7, 1, 1,1] [7, 1, 1,1] [7, 1, 1,1]"))
     assert verdict.status == REALIZABLE
-    assert verdict.stats.nodes == 11_804
+    assert verdict.stats.nodes == 2_451
 
 
 def test_pruning_keeps_first_witness():
@@ -181,3 +186,87 @@ def test_pruning_keeps_first_witness():
     for text, perms in cases:
         datum = D(text)
         assert decide(datum).certificate == ConstellationWitness(datum.degree, perms), text
+
+
+def test_later_middles_keep_first_witness():
+    # with three enumerated factors, the bound in the first two must count
+    # the merges of the middles still to come: a bound that leaves them out
+    # skips this witness, the first in the search order, and finds a later one
+    datum = D("6: [3,3] [3,1,1,1] [3,1,1,1] [2,1,1,1,1] [2,1,1,1,1]")
+    perms = (
+        (2, 4, 3, 0, 5, 1),
+        (0, 5, 2, 3, 1, 4),
+        (1, 2, 0, 3, 4, 5),
+        (1, 0, 2, 3, 4, 5),
+        (3, 1, 2, 0, 4, 5),
+    )
+    assert decide(datum).certificate == ConstellationWitness(6, perms)
+
+
+def test_every_leaf_is_a_witness(monkeypatch):
+    # the orbit bound is exact at every assignment, so the search reaches a
+    # complete tuple only when it is transitive: one leaf per realizable
+    # datum, none per exceptional one
+    leaf = _TupleSearch._leaf
+    calls = []
+
+    def counted(self):
+        calls.append(None)
+        return leaf(self)
+
+    monkeypatch.setattr(_TupleSearch, "_leaf", counted)
+    for degree in range(2, 9):
+        for n in (3, 4):
+            for datum in enumerate_candidates(degree, n):
+                calls.clear()
+                verdict = decide(datum)
+                assert len(calls) == (verdict.status == REALIZABLE), datum.render()
+
+
+def test_orbit_bound_node_count():
+    # uniting a middle edge only when its cycle closes, or not spending a
+    # forced merge on each product entry that joins two chains, raises this
+    # count
+    nodes = sum(decide(datum).stats.nodes for datum in enumerate_candidates(7, 4))
+    assert nodes == 31_646
+
+
+SMALL_DATA = [
+    datum for degree in range(3, 9) for n in (3, 4) for datum in enumerate_candidates(degree, n)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_branch_point_order_keeps_status(data):
+    datum = data.draw(st.sampled_from(SMALL_DATA))
+    order = data.draw(st.permutations(datum.partitions))
+    moved = SimpleNamespace(degree=datum.degree, partitions=tuple(order))
+    verdict = decide(moved)
+    assert verdict.status == decide(datum).status
+    if verdict.status == REALIZABLE:
+        assert check_witness(moved, verdict.certificate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_relabelled_witness_verifies(data):
+    datum = data.draw(st.sampled_from(SMALL_DATA))
+    verdict = decide(datum)
+    assume(verdict.status == REALIZABLE)
+    gamma = tuple(data.draw(st.permutations(range(datum.degree))))
+    perms = tuple(relabel(p, gamma) for p in verdict.certificate.perms)
+    assert check_witness(datum, ConstellationWitness(datum.degree, perms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_DATA))
+def test_reversed_inverse_witness_verifies(datum):
+    # s_1 ... s_n = 1 gives s_n^-1 ... s_1^-1 = 1, with the types reversed
+    verdict = decide(datum)
+    assume(verdict.status == REALIZABLE)
+    perms = tuple(inverse(p) for p in reversed(verdict.certificate.perms))
+    reversed_datum = SimpleNamespace(
+        degree=datum.degree, partitions=tuple(reversed(datum.partitions))
+    )
+    assert check_witness(reversed_datum, ConstellationWitness(datum.degree, perms))
