@@ -20,7 +20,7 @@ from .corpus import run_corpus
 from .criteria import family_instances
 from .engine import DecisionEngine, scan
 from .oracle import ConstellationWitness, SearchBudget
-from .partitions import DatumParseError, parse_datum
+from .partitions import parse_datum
 from .reduction import ReductionChain
 from .verdicts import EXCEPTIONAL, REALIZABLE, UNKNOWN
 
@@ -195,9 +195,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DatumParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .partitions import CandidateDatum, Partition, decompose, nontrivial_partitions, rh_defect
+from .partitions import CandidateDatum, Partition, _length_multisets, decompose, rh_defect
 from .verdicts import EXCEPTIONAL, REALIZABLE, Verdict
 
 
@@ -135,81 +135,47 @@ def corollary_filter(
         i, j = match.pair
         s = match.divisor
         dp = match.subdegree
-
-        for m, _ in match.other_gcds:
-            biggest = ps[m].parts[0]
-            if biggest > dp:
-                reports.append(FilterReport(
-                    "cor1.parts",
-                    f"part {biggest} of partition {m} exceeds d'={dp}",
-                    match.pair, s, dp, index=m))
-            length = len(ps[m])
-            if (length <= s) if strict else (length < s):
-                reports.append(FilterReport(
-                    "cor1.length",
-                    f"partition {m} has length {length}, needs {'>' if strict else '>='} {s}",
-                    match.pair, s, dp, index=m))
-
-        if s == 2:
-            for h, g in match.other_gcds:
-                if g < 2 or dp % g:
-                    continue
-                t = g
-                rest = [m for m, _ in match.other_gcds if m != h]
-                for idx, bound in ((i, 2 * dp // t), (j, 2 * dp // t), (h, dp)):
-                    biggest = ps[idx].parts[0]
-                    if biggest > bound:
-                        reports.append(FilterReport(
-                            "cor2.parts",
-                            f"part {biggest} of partition {idx} exceeds {bound}",
-                            match.pair, s, dp, third_divisor=t, index=idx))
-                for m in rest:
-                    biggest = ps[m].parts[0]
-                    if biggest > dp // t:
-                        reports.append(FilterReport(
-                            "cor2.parts",
-                            f"part {biggest} of partition {m} exceeds d'/t={dp // t}",
-                            match.pair, s, dp, third_divisor=t, index=m))
-                    length = len(ps[m])
-                    if (length <= 2 * t) if strict else (length < 2 * t):
-                        reports.append(FilterReport(
-                            "cor2.length",
-                            f"partition {m} has length {length}, needs {'>' if strict else '>='} {2 * t}",
-                            match.pair, s, dp, third_divisor=t, index=m))
-
-        if s == 3 and dp % 4 == 0:
-            for h, g in match.other_gcds:
-                if g % 2:
-                    continue
-                rest = [m for m, _ in match.other_gcds if m != h]
-                for idx, bound in ((i, 3 * dp // 4), (j, 3 * dp // 4), (h, dp // 2)):
-                    biggest = ps[idx].parts[0]
-                    if biggest > bound:
-                        reports.append(FilterReport(
-                            "cor3.parts",
-                            f"part {biggest} of partition {idx} exceeds {bound}",
-                            match.pair, s, dp, third_divisor=2, index=idx))
-                for m in rest:
-                    biggest = ps[m].parts[0]
-                    if biggest > dp // 4:
-                        reports.append(FilterReport(
-                            "cor3.parts",
-                            f"part {biggest} of partition {m} exceeds d'/4={dp // 4}",
-                            match.pair, s, dp, third_divisor=2, index=m))
-                    length = len(ps[m])
-                    if (length <= 12) if strict else (length < 12):
-                        reports.append(FilterReport(
-                            "cor3.length",
-                            f"partition {m} has length {length}, needs {'>' if strict else '>='} 12",
-                            match.pair, s, dp, third_divisor=2, index=m))
+        _corollary(reports, ps, match, "cor1", None, None, (), "d'", dp, s, strict)
+        for h, g in match.other_gcds:
+            if s == 2 and g >= 2 and dp % g == 0:
+                capped = ((i, 2 * dp // g), (j, 2 * dp // g), (h, dp))
+                _corollary(reports, ps, match, "cor2", g, h, capped, "d'/t", dp // g, 2 * g, strict)
+            elif s == 3 and dp % 4 == 0 and g % 2 == 0:
+                capped = ((i, 3 * dp // 4), (j, 3 * dp // 4), (h, dp // 2))
+                _corollary(reports, ps, match, "cor3", 2, h, capped, "d'/4", dp // 4, 12, strict)
     return reports
 
 
-def songxu_datum(k: int, x: int, y: int, first: Partition) -> CandidateDatum:
-    """The normalized datum {first, [2..2,2y], [2..2,2x]} of degree 2k."""
-    second = Partition.of([2] * (k - y) + [2 * y])
-    third = Partition.of([2] * (k - x) + [2 * x])
-    return CandidateDatum.make(2 * k, [first, second, third])
+def _corollary(reports, ps, match, rule, t, third, capped, cap_name, cap, min_length, strict):
+    """Append one corollary's reports for ``match`` with third partition
+    ``third`` (None for cor1) and its divisor ``t``.
+
+    ``capped`` holds (index, bound) pairs: that partition's largest part
+    must not exceed the bound.  Every other partition outside the pair and
+    the third must have parts of at most ``cap`` (named ``cap_name`` in the
+    detail) and a length of at least ``min_length`` (more when ``strict``).
+    """
+    pair, s, dp = match.pair, match.divisor, match.subdegree
+    for idx, bound in capped:
+        biggest = ps[idx].parts[0]
+        if biggest > bound:
+            reports.append(FilterReport(
+                f"{rule}.parts", f"part {biggest} of partition {idx} exceeds {bound}",
+                pair, s, dp, third_divisor=t, index=idx))
+    for m, _ in match.other_gcds:
+        if m == third:
+            continue
+        biggest = ps[m].parts[0]
+        if biggest > cap:
+            reports.append(FilterReport(
+                f"{rule}.parts", f"part {biggest} of partition {m} exceeds {cap_name}={cap}",
+                pair, s, dp, third_divisor=t, index=m))
+        length = len(ps[m])
+        if (length <= min_length) if strict else (length < min_length):
+            reports.append(FilterReport(
+                f"{rule}.length",
+                f"partition {m} has length {length}, needs {'>' if strict else '>='} {min_length}",
+                pair, s, dp, third_divisor=t, index=m))
 
 
 def songxu_decide(k: int, x: int, y: int, first: Partition) -> Verdict:
@@ -309,26 +275,6 @@ def family_instances(s: int, k: int, t: int) -> Iterator[tuple[CandidateDatum, s
     """
     if s < 2 or k < 2 or t < 1:
         raise ValueError("need s >= 2, k >= 2, t >= 1")
-    budget = family_length_budget(s, k, t)
-    options = nontrivial_partitions(s * k)
-    lengths = [len(p) for p in options]
-    longest = lengths[-1] if options else 0
-    chosen: list[Partition] = []
-
-    def rec(start: int, slots: int, left: int) -> Iterator[tuple[CandidateDatum, str]]:
-        if slots == 0:
-            if left == 0 and any(p.parts[0] >= k + 1 for p in chosen):
-                yield family_datum(s, k, t, list(chosen))[0], "cor1.parts"
-            return
-        for idx in range(start, len(options)):
-            length = lengths[idx]
-            rest = left - length
-            if rest < (slots - 1) * length:
-                break
-            if rest > (slots - 1) * longest:
-                continue
-            chosen.append(options[idx])
-            yield from rec(idx, slots - 1, rest)
-            chosen.pop()
-
-    yield from rec(0, t, budget)
+    for chosen in _length_multisets(s * k, t, family_length_budget(s, k, t)):
+        if any(p.parts[0] >= k + 1 for p in chosen):
+            yield family_datum(s, k, t, list(chosen))[0], "cor1.parts"

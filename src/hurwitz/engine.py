@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import oracle as oracle_mod
 from .criteria import (
@@ -139,47 +139,14 @@ class DecisionEngine:
             return verdict
         return Verdict(UNKNOWN, "oracle", limit=LIMIT_DEGREE)
 
-    # -- reductions --
-
-    def _reduction_plans(
-        self, datum: CandidateDatum, matches: tuple[StructureMatch, ...]
-    ) -> list[tuple[str, Callable[[], Iterator[ReductionStep]]]]:
-        """Every admissible role assignment, cheapest child degree first."""
-        plans: list[tuple[tuple, str, Callable[[], Iterator[ReductionStep]]]] = []
-        for match in matches:
-            key = (match.subdegree, "thm1", match.pair, match.divisor, 0)
-            plans.append((key, "thm1", lambda m=match: children_thm1(datum, m)))
-            if match.divisor == 2:
-                for h, g in match.other_gcds:
-                    if g < 2:
-                        continue
-                    for t in range(g, 1, -1):
-                        if g % t or match.subdegree % t:
-                            continue
-                        child_degree = match.subdegree // t
-                        key = (child_degree, "thm2", match.pair, h, t)
-                        plans.append(
-                            (key, "thm2",
-                             lambda m=match, hh=h, tt=t: children_thm2(datum, m, hh, tt))
-                        )
-            if match.divisor == 3 and match.subdegree % 4 == 0:
-                for h, g in match.other_gcds:
-                    if g % 2:
-                        continue
-                    key = (match.subdegree // 4, "thm3", match.pair, h, 0)
-                    plans.append(
-                        (key, "thm3", lambda m=match, hh=h: children_thm3(datum, m, hh))
-                    )
-        plans.sort(key=lambda item: item[0])
-        return [(theorem, factory) for _, theorem, factory in plans]
-
     def _try_reductions(
         self, datum: CandidateDatum, matches: tuple[StructureMatch, ...]
     ) -> Verdict | None:
         """Realizable/exceptional via some structure, or None when undecided."""
-        for theorem, factory in self._reduction_plans(datum, matches):
+        for plan in _reduction_plans(datum, matches):
+            theorem = plan[0][1]
             complete = True
-            for step in factory():
+            for step in _plan_children(datum, plan):
                 child_verdict = self._lookup(step.child)
                 if child_verdict.status == REALIZABLE:
                     chain = _extend_chain(step, child_verdict.certificate)
@@ -190,6 +157,38 @@ class DecisionEngine:
                 # the enumeration is exhaustive, so no realizable child exists
                 return Verdict(EXCEPTIONAL, f"reduction:{theorem}")
         return None
+
+
+def _reduction_plans(
+    datum: CandidateDatum, matches: tuple[StructureMatch, ...]
+) -> list[tuple[tuple, StructureMatch, int | None, int | None]]:
+    """Every admissible role assignment as (key, match, third, t), cheapest child
+    degree first; ``key`` is (child degree, theorem, pair, third or divisor, t)."""
+    plans = []
+    for match in matches:
+        plans.append(((match.subdegree, "thm1", match.pair, match.divisor, 0), match, None, None))
+        if match.divisor == 2:
+            for h, g in match.other_gcds:
+                for t in range(g, 1, -1):
+                    if g % t == 0 and match.subdegree % t == 0:
+                        key = (match.subdegree // t, "thm2", match.pair, h, t)
+                        plans.append((key, match, h, t))
+        if match.divisor == 3 and match.subdegree % 4 == 0:
+            for h, g in match.other_gcds:
+                if g % 2 == 0:
+                    plans.append(((match.subdegree // 4, "thm3", match.pair, h, 0), match, h, None))
+    plans.sort(key=lambda plan: plan[0])
+    return plans
+
+
+def _plan_children(datum: CandidateDatum, plan: tuple) -> Iterator[ReductionStep]:
+    """The child steps of one plan from :func:`_reduction_plans`."""
+    key, match, third, t = plan
+    if key[1] == "thm1":
+        return children_thm1(datum, match)
+    if key[1] == "thm2":
+        return children_thm2(datum, match, third, t)
+    return children_thm3(datum, match, third)
 
 
 def _extend_chain(step: ReductionStep, certificate) -> ReductionChain:

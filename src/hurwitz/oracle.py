@@ -48,13 +48,13 @@ from .perms import (
     Perm,
     canonical_of_type,
     class_size,
-    compose,
     cycle_string,
     cycle_type,
     identity,
     inverse,
     is_perm,
     is_transitive,
+    product,
 )
 from .verdicts import (
     EXCEPTIONAL,
@@ -115,10 +115,7 @@ def check_witness(datum: CandidateDatum, witness: ConstellationWitness) -> bool:
     for p, part in zip(perms, datum.partitions):
         if not is_perm(p) or cycle_type(p) != part:
             return False
-    acc = identity(datum.degree)
-    for p in witness.perms:
-        acc = compose(acc, p)
-    if acc != identity(datum.degree):
+    if product(perms, datum.degree) != identity(datum.degree):
         return False
     return is_transitive(witness.perms, datum.degree)
 

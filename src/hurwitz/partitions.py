@@ -307,29 +307,34 @@ def enumerate_candidates(degree: int, branch_points: int) -> Iterator[CandidateD
     """Every candidate datum with the given degree and number of branch points.
 
     Yields each balanced multiset of nontrivial partitions exactly once, in
-    canonical order.  A running length budget prunes the chooser: the total
-    length of all partitions must equal (n-2)d + 2.
+    canonical order: the partitions' lengths must sum to (n-2)d + 2.
     """
     if degree < 2:
         raise ValueError("degree must be at least 2")
     if branch_points < 1:
         raise ValueError("need at least one branch point")
     target = (branch_points - 2) * degree + 2
-    options = nontrivial_partitions(degree)
-    if not options or target < branch_points:
-        return
+    for chosen in _length_multisets(degree, branch_points, target):
+        yield CandidateDatum(degree, chosen)
+
+
+def _length_multisets(total: int, slots: int, budget: int) -> Iterator[tuple[Partition, ...]]:
+    """Every multiset of ``slots`` nontrivial partitions of ``total`` whose
+    lengths sum to ``budget``, as canonical-order tuples yielded in canonical
+    order.  A running length budget prunes the chooser."""
+    options = nontrivial_partitions(total)
     lengths = [len(p) for p in options]
-    longest = lengths[-1]
+    longest = max(lengths, default=0)
     chosen: list[Partition] = []
 
-    def rec(start: int, slots: int, budget: int) -> Iterator[CandidateDatum]:
+    def rec(start: int, slots: int, left: int) -> Iterator[tuple[Partition, ...]]:
         if slots == 0:
-            if budget == 0:
-                yield CandidateDatum(degree, tuple(chosen))
+            if left == 0:
+                yield tuple(chosen)
             return
         for idx in range(start, len(options)):
             length = lengths[idx]
-            rest = budget - length
+            rest = left - length
             if rest < (slots - 1) * length:
                 break  # options are sorted by length; later ones are no shorter
             if rest > (slots - 1) * longest:
@@ -338,4 +343,4 @@ def enumerate_candidates(degree: int, branch_points: int) -> Iterator[CandidateD
             yield from rec(idx, slots - 1, rest)
             chosen.pop()
 
-    yield from rec(0, branch_points, target)
+    yield from rec(0, slots, budget)

@@ -15,6 +15,11 @@ parent's:
         (halved) into six groups, each pair member (divided by 3) into
         four, and every remaining partition into twelve.
 
+The table ``_ARITY`` is the single statement of each theorem's shape: the
+pair and third divisors it takes, and for every role the scale that
+rebuilds the source and the number of pieces.  The one child enumerator
+and :func:`replay` both read it.
+
 A :class:`ReductionStep` records enough to replay the transformation, so a
 chain of steps ending in a witness (or in the trivial degree-1 datum) is an
 independently checkable realizability certificate.
@@ -34,11 +39,15 @@ ROLE_PAIR = "pair"
 ROLE_THIRD = "third"
 ROLE_OTHER = "other"
 
-# per theorem: role -> (scale to rebuild the source, expected piece count)
+_ANY = "any"  # a divisor that may be any value >= 2
+
+# per theorem: the pair divisor s and third divisor t it takes (a fixed int,
+# _ANY, or None for absent), and the map of s and t to each role's (scale to
+# rebuild the source, piece count)
 _ARITY = {
-    "thm1": {ROLE_PAIR: ("s", 1), ROLE_OTHER: (1, "s")},
-    "thm2": {ROLE_PAIR: (2, "t"), ROLE_THIRD: ("t", 2), ROLE_OTHER: (1, "2t")},
-    "thm3": {ROLE_PAIR: (3, 4), ROLE_THIRD: (2, 6), ROLE_OTHER: (1, 12)},
+    "thm1": (_ANY, None, lambda s, t: {ROLE_PAIR: (s, 1), ROLE_OTHER: (1, s)}),
+    "thm2": (2, _ANY, lambda s, t: {ROLE_PAIR: (2, t), ROLE_THIRD: (t, 2), ROLE_OTHER: (1, 2 * t)}),
+    "thm3": (3, None, lambda s, t: {ROLE_PAIR: (3, 4), ROLE_THIRD: (2, 6), ROLE_OTHER: (1, 12)}),
 }
 
 
@@ -115,36 +124,32 @@ class ReductionChain:
         return f"{hops}; base: {tail}" if hops else f"base: {tail}"
 
 
-def _expected(value, s: int, t: int | None) -> int:
-    if value == "s":
-        return s
-    if value == "t":
-        return t  # type: ignore[return-value]
-    if value == "2t":
-        return 2 * t  # type: ignore[operator]
-    return value
-
-
 def replay(step: ReductionStep) -> CandidateDatum:
     """Rebuild and return the parent datum, validating every record.
 
-    Raises :class:`StepReplayError` on any inconsistency: wrong piece
-    counts, pieces that do not reassemble their source, or a child that
-    does not match the recorded pieces.
+    Raises :class:`StepReplayError` on any inconsistency: an ``s`` or ``t``
+    the theorem does not take, wrong piece counts, pieces that do not
+    reassemble their source, or a child that does not match the recorded
+    pieces.
     """
-    arity = _ARITY.get(step.theorem)
-    if arity is None:
+    if step.theorem not in _ARITY:
         raise StepReplayError(f"unknown theorem {step.theorem!r}")
+    fixed_s, fixed_t, roles = _ARITY[step.theorem]
+    for name, fixed, value in (("s", fixed_s, step.s), ("t", fixed_t, step.t)):
+        if fixed is None:
+            ok = value is None
+        else:
+            ok = type(value) is int and (value >= 2 if fixed == _ANY else value == fixed)
+        if not ok:
+            raise StepReplayError(f"{step.theorem} does not take {name}={value!r}")
+    shape = roles(step.s, step.t)
     u = step.child.degree
     sources = []
     all_pieces: list[Partition] = []
-    third_count = 0
     for rec in step.records:
-        if rec.role not in arity:
+        if rec.role not in shape:
             raise StepReplayError(f"role {rec.role!r} not allowed in {step.theorem}")
-        scale, count = arity[rec.role]
-        scale = _expected(scale, step.s, step.t)
-        count = _expected(count, step.s, step.t)
+        scale, count = shape[rec.role]
         if rec.scale != scale:
             raise StepReplayError(f"record {rec.index}: scale {rec.scale}, expected {scale}")
         if len(rec.pieces) != count:
@@ -156,13 +161,11 @@ def replay(step: ReductionStep) -> CandidateDatum:
             raise StepReplayError(f"record {rec.index}: pieces do not reassemble {rec.source}")
         if rec.role == ROLE_PAIR and rec.index not in step.pair:
             raise StepReplayError(f"record {rec.index}: pair role outside pair indices")
-        if rec.role == ROLE_THIRD:
-            third_count += 1
         sources.append(rec.source)
         all_pieces.extend(rec.pieces)
     if sorted(r.index for r in step.records) != list(range(len(step.records))):
         raise StepReplayError("records do not cover the parent partitions exactly once")
-    if step.theorem in ("thm2", "thm3") and third_count != 1:
+    if ROLE_THIRD in shape and sum(r.role == ROLE_THIRD for r in step.records) != 1:
         raise StepReplayError(f"{step.theorem} needs exactly one third-role record")
     if CandidateDatum.make(u, all_pieces) != step.child:
         raise StepReplayError("child datum does not match the recorded pieces")
@@ -175,22 +178,45 @@ def replay(step: ReductionStep) -> CandidateDatum:
     return parent
 
 
-def _emit(theorem, s, t, pair, fixed_records, others, option_lists, child_degree, datum, seen):
-    """Yield deduplicated steps over the cartesian product of the splits."""
+def _children(
+    theorem: str, datum: CandidateDatum, match: StructureMatch, third: int | None = None,
+    t: int | None = None,
+) -> Iterator[ReductionStep]:
+    """Deduplicated steps over the cartesian product of every role's splits.
+
+    The roles are pair i, pair j, the third (if any), then the other
+    partitions in ``match.other_gcds`` order; each source is divided by its
+    role's scale and split into its piece count.  Empty when some role has
+    no split.  A one-piece role (thm1's pair) is its own only split, so it
+    skips :func:`decompose`.
+    """
+    s = match.divisor
+    shape = _ARITY[theorem][2](s, t)
+    u = match.subdegree // shape[ROLE_PAIR][1]  # d / (pair scale s * pair pieces)
+    i, j = match.pair
+    slots = [(i, ROLE_PAIR), (j, ROLE_PAIR)]
+    if third is not None:
+        slots.append((third, ROLE_THIRD))
+    slots.extend((m, ROLE_OTHER) for m, _ in match.other_gcds if m != third)
+    ps = datum.partitions
+    option_lists = []
+    for m, role in slots:
+        scale, count = shape[role]
+        source = ps[m].divided(scale) if scale > 1 else ps[m]
+        options = [(source,)] if count == 1 else [d.groups for d in decompose(source, count, u)]
+        if not options:
+            return
+        option_lists.append(options)
+    seen = set()
     for combo in iproduct(*option_lists):
-        records = dict(fixed_records)
-        pieces = [p for rec in fixed_records.values() for p in rec.pieces]
-        for (m, role, scale), dec in zip(others, combo):
-            records[m] = SplitRecord(m, role, scale, datum.partitions[m], dec.groups)
-            pieces.extend(dec.groups)
-        child = CandidateDatum.make(child_degree, pieces)
+        child = CandidateDatum.make(u, [g for groups in combo for g in groups])
         if child in seen:
             continue
         seen.add(child)
-        ordered = tuple(records[m] for m in sorted(records))
-        step = ReductionStep(theorem, s, t, pair, ordered, child)
+        records = sorted((SplitRecord(m, role, shape[role][0], ps[m], groups)
+                          for (m, role), groups in zip(slots, combo)), key=lambda rec: rec.index)
         assert rh_defect(child) == 0
-        yield step
+        yield ReductionStep(theorem, s, t, match.pair, tuple(records), child)
 
 
 def children_thm1(datum: CandidateDatum, match: StructureMatch) -> Iterator[ReductionStep]:
@@ -198,21 +224,9 @@ def children_thm1(datum: CandidateDatum, match: StructureMatch) -> Iterator[Redu
     partition admits no split into s partitions of d'."""
     if rh_defect(datum) != 0:
         raise ValueError("datum must be balanced")
-    s = match.divisor
-    if s < 2:
+    if match.divisor < 2:
         raise ValueError("pair divisor must be at least 2")
-    sub = match.subdegree
-    i, j = match.pair
-    ps = datum.partitions
-    fixed = {
-        i: SplitRecord(i, ROLE_PAIR, s, ps[i], (ps[i].divided(s),)),
-        j: SplitRecord(j, ROLE_PAIR, s, ps[j], (ps[j].divided(s),)),
-    }
-    others = [(m, ROLE_OTHER, 1) for m, _ in match.other_gcds]
-    option_lists = [decompose(ps[m], s, sub) for m, _, _ in others]
-    if any(not opts for opts in option_lists):
-        return
-    yield from _emit("thm1", s, None, match.pair, fixed, others, option_lists, sub, datum, set())
+    return _children("thm1", datum, match)
 
 
 def children_thm2(
@@ -225,31 +239,13 @@ def children_thm2(
         raise ValueError("the pair must be divisible by exactly 2 for this reduction")
     if t < 2:
         raise ValueError("t must be at least 2")
-    i, j = match.pair
-    if third in (i, j) or not 0 <= third < len(datum.partitions):
+    if third in match.pair or not 0 <= third < len(datum.partitions):
         raise ValueError("third partition must be outside the pair")
-    ps = datum.partitions
-    if any(p % t for p in ps[third].parts):
-        raise ValueError(f"every part of {ps[third]} must be divisible by {t}")
-    dp = match.subdegree
-    if dp % t:
-        raise ValueError(f"t={t} must divide d'={dp}")
-    u = dp // t
-    # pair and third pieces vary too: fold them into the product as well
-    others = [(i, ROLE_PAIR, 2), (j, ROLE_PAIR, 2), (third, ROLE_THIRD, t)]
-    option_lists = [
-        decompose(ps[i].divided(2), t, u),
-        decompose(ps[j].divided(2), t, u),
-        decompose(ps[third].divided(t), 2, u),
-    ]
-    for m, _ in match.other_gcds:
-        if m == third:
-            continue
-        others.append((m, ROLE_OTHER, 1))
-        option_lists.append(decompose(ps[m], 2 * t, u))
-    if any(not opts for opts in option_lists):
-        return
-    yield from _emit("thm2", 2, t, match.pair, {}, others, option_lists, u, datum, set())
+    if any(p % t for p in datum.partitions[third].parts):
+        raise ValueError(f"every part of {datum.partitions[third]} must be divisible by {t}")
+    if match.subdegree % t:
+        raise ValueError(f"t={t} must divide d'={match.subdegree}")
+    return _children("thm2", datum, match, third, t)
 
 
 def children_thm3(datum: CandidateDatum, match: StructureMatch, third: int) -> Iterator[ReductionStep]:
@@ -258,27 +254,10 @@ def children_thm3(datum: CandidateDatum, match: StructureMatch, third: int) -> I
         raise ValueError("datum must be balanced")
     if match.divisor != 3:
         raise ValueError("the pair must be divisible by exactly 3 for this reduction")
-    i, j = match.pair
-    if third in (i, j) or not 0 <= third < len(datum.partitions):
+    if third in match.pair or not 0 <= third < len(datum.partitions):
         raise ValueError("third partition must be outside the pair")
-    ps = datum.partitions
-    if any(p % 2 for p in ps[third].parts):
-        raise ValueError(f"every part of {ps[third]} must be even")
-    dp = match.subdegree
-    if dp % 4:
-        raise ValueError(f"4 must divide d'={dp}")
-    u = dp // 4
-    others = [(i, ROLE_PAIR, 3), (j, ROLE_PAIR, 3), (third, ROLE_THIRD, 2)]
-    option_lists = [
-        decompose(ps[i].divided(3), 4, u),
-        decompose(ps[j].divided(3), 4, u),
-        decompose(ps[third].divided(2), 6, u),
-    ]
-    for m, _ in match.other_gcds:
-        if m == third:
-            continue
-        others.append((m, ROLE_OTHER, 1))
-        option_lists.append(decompose(ps[m], 12, u))
-    if any(not opts for opts in option_lists):
-        return
-    yield from _emit("thm3", 3, None, match.pair, {}, others, option_lists, u, datum, set())
+    if any(p % 2 for p in datum.partitions[third].parts):
+        raise ValueError(f"every part of {datum.partitions[third]} must be even")
+    if match.subdegree % 4:
+        raise ValueError(f"4 must divide d'={match.subdegree}")
+    return _children("thm3", datum, match, third)

@@ -4,14 +4,15 @@ These deliberately share no code path with the implementations they check:
 cycle lengths and orbits are recomputed inline, splits are enumerated over
 labeled groups and the labels forgotten afterwards, and the tuple search
 enumerates whole conjugacy classes outright with no canonical pinning, no
-cycle-by-cycle construction, and no pruning.
+cycle-by-cycle construction, and no pruning.  :func:`songxu_datum` builds
+the double-cover family datum that the closed form is checked against.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from hurwitz.partitions import CandidateDatum
+from hurwitz.partitions import CandidateDatum, Partition
 
 
 def naive_cycle_lengths(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -124,3 +125,10 @@ def reference_decide(datum: CandidateDatum) -> str:
         if reached == degree:
             return "realizable"
     return "exceptional"
+
+
+def songxu_datum(k: int, x: int, y: int, first: Partition) -> CandidateDatum:
+    """The normalized datum {first, [2..2,2y], [2..2,2x]} of degree 2k."""
+    second = Partition.of([2] * (k - y) + [2 * y])
+    third = Partition.of([2] * (k - x) + [2 * x])
+    return CandidateDatum.make(2 * k, [first, second, third])

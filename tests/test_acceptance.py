@@ -15,7 +15,6 @@ from hurwitz.criteria import (
     detect_structures,
     family_instances,
     prop1_filter,
-    songxu_datum,
     songxu_decide,
 )
 from hurwitz.engine import DecisionEngine, decide, scan, verify
@@ -30,7 +29,7 @@ from hurwitz.partitions import (
 )
 from hurwitz.reduction import children_thm1, children_thm2, children_thm3
 from hurwitz.verdicts import EXCEPTIONAL, REALIZABLE, UNKNOWN
-from oracles import naive_splits
+from oracles import naive_splits, songxu_datum
 
 BUDGET = SearchBudget()
 

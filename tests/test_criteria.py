@@ -8,12 +8,12 @@ from hurwitz.criteria import (
     family_length_budget,
     match_songxu_shape,
     prop1_filter,
-    songxu_datum,
     songxu_decide,
 )
 from hurwitz.oracle import decide as oracle_decide
 from hurwitz.partitions import CandidateDatum, Partition, parse_datum, rh_defect
 from hurwitz.verdicts import EXCEPTIONAL, REALIZABLE
+from oracles import songxu_datum
 
 
 def D(text):

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -139,6 +140,38 @@ def test_replay_rejects_tampering():
         replay(tampered)
 
 
+@pytest.mark.parametrize(
+    "text, theorem, s, t",
+    [
+        ("12: [3,3,3,3] [3,3,3,3] [2,2,2,2,2,2]", "thm3", 7, 5),
+        ("12: [3,3,3,3] [3,3,3,3] [2,2,2,2,2,2]", "thm3", 3, 2),
+        ("12: [3,3,3,3] [3,3,3,3] [2,2,2,2,2,2]", "thm3", 2, None),
+        ("4: [2,2] [2,2] [2,2]", "thm2", 0, 2),
+        ("4: [2,2] [2,2] [2,2]", "thm2", 2, None),
+        ("4: [2,2] [2,2] [2,2]", "thm2", 2, "2"),
+        ("4: [2,2] [2,2] [2,2]", "thm1", 2, 2),
+        ("4: [2,2] [2,2] [2,2]", "thm1", 1, None),
+        ("4: [2,2] [2,2] [2,2]", "thm1", 2.0, None),
+        ("4: [2,2] [2,2] [2,2]", "thm1", True, None),
+    ],
+)
+def test_replay_checks_fixed_parameters(text, theorem, s, t):
+    # the theorem fixes s (thm2, thm3) or t (absent in thm1 and thm3), and a
+    # free one must be an int >= 2; a mismatch is a StepReplayError, never a
+    # TypeError, even where the records would still reassemble the parent
+    datum = D(text)
+    match = detect_structures(datum)[0]
+    if theorem == "thm1":
+        step = next(iter(children_thm1(datum, match)))
+    elif theorem == "thm2":
+        step = next(iter(children_thm2(datum, match, third=2, t=2)))
+    else:
+        step = next(iter(children_thm3(datum, match, third=match.other_gcds[0][0])))
+    assert replay(step) == datum
+    with pytest.raises(StepReplayError):
+        replay(dataclasses.replace(step, s=s, t=t))
+
+
 def test_replay_rejects_wrong_child():
     datum = D("4: [2,2] [2,2] [2,2]")
     match = detect_structures(datum)[0]
@@ -197,3 +230,20 @@ def test_thm2_equivalence_sweep():
                             assert derived == parent, (datum.render(), match.pair, third, t)
                             checked += 1
     assert checked > 10
+
+
+def test_every_plan_step_replays():
+    # every step of every plan the engine tries, over all data with n = 3 and
+    # d <= 14, n = 4 and d <= 10, n = 5 and d <= 7, rebuilds its parent
+    from hurwitz.engine import _plan_children, _reduction_plans
+    from hurwitz.partitions import enumerate_candidates
+
+    counts = Counter()
+    for n, degree_max in ((3, 14), (4, 10), (5, 7)):
+        for degree in range(2, degree_max + 1):
+            for datum in enumerate_candidates(degree, n):
+                for plan in _reduction_plans(datum, detect_structures(datum)):
+                    for step in _plan_children(datum, plan):
+                        assert replay(step) == datum, (datum.render(), step.theorem)
+                        counts[step.theorem] += 1
+    assert counts == {"thm1": 2673, "thm2": 45, "thm3": 1}
