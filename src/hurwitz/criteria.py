@@ -39,7 +39,7 @@ from .partitions import CandidateDatum, Partition, _length_multisets, decompose,
 from .verdicts import EXCEPTIONAL, REALIZABLE, Verdict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StructureMatch:
     """Two partitions whose every part is divisible by ``divisor``.
 
@@ -53,7 +53,7 @@ class StructureMatch:
     other_gcds: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FilterReport:
     """One violated necessary condition, with the structure that raised it."""
 

@@ -5,11 +5,17 @@ there are permutations s_1..s_n in S_d with the prescribed cycle types,
 product equal to the identity, and a transitive joint action.  The search
 here is complete:
 
-  * the factor whose conjugacy class is largest is pinned to the canonical
-    representative of its type (conjugating a whole tuple preserves all
-    three conditions, so this loses nothing),
-  * the factor with the second-largest class is never enumerated; it is
-    forced by the product condition and checked by cycle type,
+  * one factor is pinned to the canonical representative of its type
+    (conjugating a whole tuple preserves all three conditions, so this
+    loses nothing), and one is never enumerated: it is forced by the
+    product condition and checked by cycle type.  For three factors whose
+    classes are not all of one size, a factor of the largest class is
+    forced, since with the others fixed the share of enumerated factors
+    that complete to a witness grows with the forced class (the Frobenius
+    count), and one of the smallest class is pinned, since its centralizer,
+    which the symmetry break below uses, is then the largest.  Otherwise
+    the largest class is pinned and the second largest forced: on 4-point
+    data, pinning the smallest class costs more nodes,
   * the remaining factors are built cycle by cycle, smallest class first,
   * the forced factor's cycle type is checked incrementally while the last
     enumerated factor M is built: with every other factor fixed, the
@@ -67,7 +73,7 @@ from .verdicts import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchBudget:
     """Resource limits for the exhaustive search."""
 
@@ -79,7 +85,7 @@ class SearchBudget:
             raise ValueError("budget limits must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstellationWitness:
     """A tuple of permutations certifying realizability."""
 
@@ -133,6 +139,10 @@ class _TupleSearch:
         n = len(self.types)
         sizes = [class_size(p) for p in datum.partitions]
         order = sorted(range(n), key=lambda i: (sizes[i], i))
+        if n == 3 and sizes[order[0]] < sizes[order[2]]:
+            # force a factor of the largest class, pin one of the smallest
+            lo, mid, hi = order
+            order = [mid, hi, lo] if sizes[mid] < sizes[hi] else [hi, mid, lo]
         self.fixed_pos = order[-1]
         self.forced_pos = order[-2]
         self.middles = order[:-2]
@@ -180,6 +190,7 @@ class _TupleSearch:
         for c in forced_type:
             self.unused[c] += 1
         self.lengths = sorted(set(forced_type), reverse=True)
+        self.longest = self.lengths[0]  # the longest part with unused[part] > 0
 
         self.nodes = 0
         self.max_nodes = budget.max_nodes
@@ -290,7 +301,7 @@ class _TupleSearch:
             u = self.b_inv[tip]  # ends an open chain that begins at start
             start = ends[u]
             len_u = lens[u]
-            longest = self._longest_unused()
+            longest = self.longest
         if left:
             candidates = range(self.degree)
             parent = self.parent
@@ -336,6 +347,8 @@ class _TupleSearch:
                     if not unused[len_u]:
                         continue
                     unused[len_u] -= 1
+                    if len_u == longest and not unused[len_u]:
+                        self.longest = self._longest_unused()
                 else:
                     end = ends[v]
                     len_v = lens[v]
@@ -391,6 +404,7 @@ class _TupleSearch:
                     lens[end] = len_v
                 else:
                     unused[len_u] += 1
+                    self.longest = longest
         return None
 
     def _leaf(self) -> ConstellationWitness:

@@ -23,7 +23,7 @@ class DatumParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """A multiset of positive integers, kept sorted non-increasing."""
 
@@ -82,7 +82,7 @@ class Partition:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateDatum:
     """A degree with the multiset of nontrivial partitions over its branch points.
 
@@ -206,7 +206,7 @@ def parse_datum(text: str) -> CandidateDatum:
     return CandidateDatum.make(degree, (parts for _, parts in collected))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decomposition:
     """An unordered split of ``source`` into sub-partitions of equal sums."""
 

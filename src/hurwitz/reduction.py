@@ -55,7 +55,7 @@ class StepReplayError(ValueError):
     """A reduction step is internally inconsistent (e.g. tampered pieces)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplitRecord:
     """How one parent partition was fed into the child datum."""
 
@@ -75,7 +75,7 @@ class SplitRecord:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionStep:
     theorem: str
     s: int
@@ -98,7 +98,7 @@ class ReductionStep:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionChain:
     """Steps from the original datum down to a base certificate.
 

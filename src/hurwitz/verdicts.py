@@ -16,7 +16,7 @@ LIMIT_DEGREE = "degree-limit"
 LIMIT_BUDGET = "budget"
 
 
-@dataclass
+@dataclass(slots=True)
 class DecisionStats:
     nodes: int = 0
     cache_hits: int = 0
@@ -26,7 +26,7 @@ class DecisionStats:
         return {"nodes": self.nodes, "cache_hits": self.cache_hits, "millis": self.millis}
 
 
-@dataclass
+@dataclass(slots=True)
 class Verdict:
     """Outcome of a decision with enough context to re-verify it.
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hurwitz.oracle as oracle_mod
 from hurwitz.oracle import (
     ConstellationWitness,
     SearchBudget,
@@ -229,6 +230,78 @@ def test_orbit_bound_node_count():
     # count
     nodes = sum(decide(datum).stats.nodes for datum in enumerate_candidates(7, 4))
     assert nodes == 31_646
+
+
+def test_chain_prune_reads_the_longest_unused_part():
+    # the forced factor is [2,1,1,1,1]: once a product cycle of length 2
+    # closes, an open chain of two entries is already too long.  A prune
+    # that kept reading the longest part of the whole type raises this
+    # count to 106
+    verdict = decide(D("6: [2,2,2] [2,2,2] [4,1,1] [2,1,1,1,1]"))
+    assert verdict.status == EXCEPTIONAL
+    assert verdict.stats.nodes == 104
+
+
+def test_three_point_roles_by_class_size():
+    # [9,1] has the largest class, so it is forced; the two [6,1,1,1,1]
+    # tie for the smallest, and the first is pinned
+    search = _TupleSearch(D("10: [9,1] [6,1,1,1,1] [6,1,1,1,1]"), SearchBudget())
+    assert (search.fixed_pos, search.forced_pos, search.middles) == (1, 0, [2])
+    # equal classes keep the order of the datum: the last is pinned, the
+    # one before it forced
+    search = _TupleSearch(D("10: [7,1,1,1] [7,1,1,1] [7,1,1,1]"), SearchBudget())
+    assert (search.fixed_pos, search.forced_pos, search.middles) == (2, 1, [0])
+
+
+def test_three_point_roles_node_count_and_witness():
+    # pinning [9,1] and forcing a [6,1,1,1,1] raises this count to 11,783
+    verdict = decide(D("10: [9,1] [6,1,1,1,1] [6,1,1,1,1]"))
+    assert verdict.stats.nodes == 1_016
+    assert verdict.certificate == ConstellationWitness(10, (
+        (0, 9, 1, 2, 3, 4, 5, 6, 7, 8),
+        (1, 2, 3, 4, 5, 0, 6, 7, 8, 9),
+        (5, 1, 2, 3, 4, 6, 7, 8, 9, 0),
+    ))
+
+
+def test_every_role_assignment_keeps_status(monkeypatch):
+    # distinct fake class sizes in every order make the search pin, force
+    # and enumerate each factor in turn: the roles decide only the cost
+    data = [datum for degree in range(3, 9) for datum in enumerate_candidates(degree, 3)]
+    statuses = {datum: {decide(datum).status} for datum in data}
+    for sizes in itertools.permutations((1, 2, 3)):
+        # one call per partition, in the datum's order
+        fake = itertools.cycle(sizes)
+        monkeypatch.setattr(oracle_mod, "class_size", lambda partition: next(fake))
+        for datum in data:
+            verdict = decide(datum)
+            statuses[datum].add(verdict.status)
+            if verdict.status == REALIZABLE:
+                assert check_witness(datum, verdict.certificate), (sizes, datum.render())
+    assert all(len(seen) == 1 for seen in statuses.values())
+
+
+def test_orbit_bound_counts_every_edge_left_in_the_cycle(monkeypatch):
+    # 5: [4,1] [4,1] [3,1,1] pins [3,1,1] as (0 1 2), forces the first [4,1]
+    # and enumerates the second, whose 4-cycle from 0 is tried as 0 -> 1 ->
+    # 2 first.  Neither step joins two orbits and each joins two product
+    # chains, so after 1 -> 2 the 3 orbits can still be joined by exactly 2
+    # merges: the one edge left in the cycle that can merge, and the forced
+    # factor's one merge left.  The bound keeps the branch; counting one
+    # edge fewer in the cycle would prune it.
+    datum = D("5: [4,1] [4,1] [3,1,1]")
+    search = _TupleSearch(datum, SearchBudget())
+    assert (search.fixed_pos, search.forced_pos, search.middles) == (2, 0, [1])
+    extend = _TupleSearch._extend_cycle
+    reached = []
+
+    def recorded(self, mi, img, used, counts, lengths, cap_after, leader, tip, left):
+        reached.append((tuple(img), tip, left, self.orbits, self.forced_left))
+        return extend(self, mi, img, used, counts, lengths, cap_after, leader, tip, left)
+
+    monkeypatch.setattr(_TupleSearch, "_extend_cycle", recorded)
+    assert search.run() is not None
+    assert ((1, 2, -1, -1, -1), 2, 1, 3, 1) in reached
 
 
 SMALL_DATA = [
