@@ -1,31 +1,37 @@
-"""Fast necessary-condition filters and the closed-form double-cover family decider.
+"""Structures, the reduction theorems' table, the filters they imply, and
+the closed-form double-cover family decider.
 
-The filters are one-sided: they only ever flag a datum as exceptional, never
-as realizable.  Each rule corresponds to a divisibility or size constraint
-that any realizable structured datum must satisfy:
+A structure (:class:`StructureMatch`) is a pair of partitions whose every
+part is divisible by s >= 2.  ``_ARITY`` is the single statement of the three
+degree-reducing equivalences on it (thm1: an s-divisible pair; thm2: a
+2-divisible pair and a t-divisible third; thm3: a 3-divisible pair and an
+all-even third): the divisors each takes, and for every role (pair, third,
+other) the scale that divides the source and the number of pieces it splits
+into, each summing to the child degree u.  A theorem is admissible when the
+pair divisor fits, the third's scale divides its gcd and u is whole;
+:func:`detect_structures` stores every such choice on the structure
+(``reductions``, from :func:`_admissible`), and the engine's plans, the
+children in :mod:`hurwitz.reduction` and :func:`corollary_filter` read it.
+
+The filters are one-sided: they only ever flag a datum as exceptional.
 
   prop1.case2   pair divisor s = 3 with an even partition needs 4 | d'
   prop1.case3   pair divisor s = 2 needs every other partition gcd to divide d'
-  cor1.parts    under an s-pair, non-paired parts are bounded by d' = d/s
-  cor1.length   under an s-pair, non-paired lengths are at least s
-  cor2.parts    s=2 pair plus a t-divisible partition (t | d') bounds paired
-                parts by 2d'/t, the t-partition by d', the rest by d'/t
-  cor2.length   same structure: remaining lengths are at least 2t
-  cor3.parts    s=3 pair plus an even partition with 4 | d' bounds paired
-                parts by 3d'/4, the even partition by d'/2, the rest by d'/4
-  cor3.length   same structure: remaining lengths are at least 12
+  cor1.parts    under thm1 no part of a role's source exceeds scale * u
+  cor2.parts    the same under thm2, at t = the third's gcd
+  cor3.parts    the same under thm3
 
 Balance leaves no other gcd >= 2 under a pair divisor s >= 4, and none >= 3
 under s = 3, so Proposition 1's rules for those cases have nothing to reject.
+Nor can another partition have fewer parts than its pieces: the lengths sum
+to (n-2)d + 2, the pair has at most 2d/s parts, a t-divisible third at most
+d/t, and every partition at most d - 1, so each other partition has at least
+d + 2 - 2d/s >= s parts, d + 2 - d/t >= 2t beside a thm2 third, and
+5d/6 + 2 >= 12 beside a thm3 third.  So the corollaries' length rules are
+not checked.
 
-Both filters take the tuple :func:`detect_structures` returns
-(``prop1_filter(matches)``, ``corollary_filter(datum, matches, strict)``), so
-a caller detects once and passes it to both.
-
-Length rules default to the provable weak bounds (>=), the only form the
-decision engine and ``verify`` use.  The strict form (>) over-rejects:
-(4, {[2,2],[2,2],[2,2]}) is realizable with a non-paired length equal to s,
-so only the scan's audit applies it, to report the data it would misjudge.
+Both filters take the tuple :func:`detect_structures` returns, so a caller
+detects once and passes it to both.
 """
 
 from __future__ import annotations
@@ -45,12 +51,67 @@ class StructureMatch:
 
     ``subdegree`` is degree/divisor and ``other_gcds`` records, for every
     partition outside the pair, its index and the gcd of its parts.
+    ``reductions`` holds every (theorem, third, t, child degree) the table
+    admits on it, in :func:`_admissible` order.
     """
 
     pair: tuple[int, int]
     divisor: int
     subdegree: int
     other_gcds: tuple[tuple[int, int], ...]
+    reductions: tuple[tuple[str, int | None, int | None, int], ...]
+
+
+ROLE_PAIR = "pair"
+ROLE_THIRD = "third"
+ROLE_OTHER = "other"
+
+_ANY = "any"  # a divisor that may be any value >= 2
+
+# per theorem: the pair divisor s and third divisor t it takes (a fixed int,
+# _ANY, or None for absent), and for each role the map of s and t to its
+# (scale to rebuild the source, piece count); a theorem with a third role
+# takes a third partition
+_ARITY = {
+    "thm1": (_ANY, None, {ROLE_PAIR: lambda s, t: (s, 1), ROLE_OTHER: lambda s, t: (1, s)}),
+    "thm2": (2, _ANY, {ROLE_PAIR: lambda s, t: (2, t), ROLE_THIRD: lambda s, t: (t, 2),
+                       ROLE_OTHER: lambda s, t: (1, 2 * t)}),
+    "thm3": (3, None, {ROLE_PAIR: lambda s, t: (3, 4), ROLE_THIRD: lambda s, t: (2, 6),
+                       ROLE_OTHER: lambda s, t: (1, 12)}),
+}
+
+
+def _shape(theorem: str, s: int, t: int | None) -> dict[str, tuple[int, int]]:
+    """Each role's (scale, piece count) for ``theorem`` at ``s`` and ``t``."""
+    return {role: rule(s, t) for role, rule in _ARITY[theorem][2].items()}
+
+
+def _admissible(
+    s: int, dp: int, other_gcds: tuple[tuple[int, int], ...]
+) -> Iterator[tuple[str, int | None, int | None, int]]:
+    """Every (theorem, third, t, child degree) the table admits on a pair
+    divisible by ``s`` with d' = ``dp`` and the other partitions' gcds.
+
+    Theorems come in table order, thirds in ``other_gcds`` order and a free t
+    from the third's gcd down to 2.
+    """
+    for theorem, (fixed_s, fixed_t, roles) in _ARITY.items():
+        if fixed_s != s and fixed_s != _ANY:  # a detected s is >= 2
+            continue
+        third_role = roles.get(ROLE_THIRD)
+        for h, g in other_gcds if third_role else ((None, 0),):
+            for t in range(g, 1, -1) if fixed_t == _ANY else (fixed_t,):
+                pieces = roles[ROLE_PAIR](s, t)[1]
+                if dp % pieces == 0 and (h is None or g % third_role(s, t)[0] == 0):
+                    yield theorem, h, t, dp // pieces
+
+
+def _role_slots(match: StructureMatch, third: int | None) -> list[tuple[int, str]]:
+    """(partition index, role) for pair i, pair j, the third (if any), then the
+    other partitions in ``match.other_gcds`` order."""
+    i, j = match.pair
+    head = [(i, ROLE_PAIR), (j, ROLE_PAIR)] + ([] if third is None else [(third, ROLE_THIRD)])
+    return head + [(m, ROLE_OTHER) for m, _ in match.other_gcds if m != third]
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,15 +142,18 @@ def detect_structures(datum: CandidateDatum) -> tuple[StructureMatch, ...]:
     """All pairs (i, j) and divisors s >= 2 common to every part of both."""
     if rh_defect(datum) != 0:
         raise ValueError("datum must be balanced before structure detection")
-    ps = datum.partitions
+    n = len(datum.partitions)
+    gcds = [p.gcd() for p in datum.partitions]
     out = []
-    for i, j in combinations(range(len(ps)), 2):
-        g = math.gcd(ps[i].gcd(), ps[j].gcd())
+    for i, j in combinations(range(n), 2):
+        g = math.gcd(gcds[i], gcds[j])
+        if g < 2:
+            continue
+        others = tuple((m, gcds[m]) for m in range(n) if m != i and m != j)
         for s in range(2, g + 1):
-            if g % s:
-                continue
-            others = tuple((m, ps[m].gcd()) for m in range(len(ps)) if m != i and m != j)
-            out.append(StructureMatch((i, j), s, datum.degree // s, others))
+            if g % s == 0:
+                dp = datum.degree // s
+                out.append(StructureMatch((i, j), s, dp, others, tuple(_admissible(s, dp, others))))
     return tuple(out)
 
 
@@ -121,61 +185,36 @@ def prop1_filter(matches: tuple[StructureMatch, ...]) -> list[FilterReport]:
     return reports
 
 
-def corollary_filter(
-    datum: CandidateDatum, matches: tuple[StructureMatch, ...], strict: bool = False
-) -> list[FilterReport]:
-    """Part-size and length bounds implied by the datum's structures ``matches``.
+# each corollary's rule name and the name of the other partitions' cap in d'
+_COROLLARY = {"thm1": ("cor1", "d'"), "thm2": ("cor2", "d'/t"), "thm3": ("cor3", "d'/4")}
 
-    ``strict`` switches the length rules from the provable weak form (>=) to
-    the strict form (>); see the module docstring for why weak is default.
+
+def corollary_filter(datum: CandidateDatum, matches: tuple[StructureMatch, ...]) -> list[FilterReport]:
+    """Part-size bounds implied by the datum's structures ``matches``.
+
+    Under every admissible reduction (thm2 only at t = the third's gcd) each
+    piece sums to the child degree u, so no part of a role's source may
+    exceed that role's scale times u.
     """
     reports = []
     ps = datum.partitions
     for match in matches:
-        i, j = match.pair
-        s = match.divisor
-        dp = match.subdegree
-        _corollary(reports, ps, match, "cor1", None, None, (), "d'", dp, s, strict)
-        for h, g in match.other_gcds:
-            if s == 2 and g >= 2 and dp % g == 0:
-                capped = ((i, 2 * dp // g), (j, 2 * dp // g), (h, dp))
-                _corollary(reports, ps, match, "cor2", g, h, capped, "d'/t", dp // g, 2 * g, strict)
-            elif s == 3 and dp % 4 == 0 and g % 2 == 0:
-                capped = ((i, 3 * dp // 4), (j, 3 * dp // 4), (h, dp // 2))
-                _corollary(reports, ps, match, "cor3", 2, h, capped, "d'/4", dp // 4, 12, strict)
+        for theorem, third, t, u in match.reductions:
+            if t is not None and (third, t) not in match.other_gcds:
+                continue  # a free t only at the third's gcd
+            shape = _shape(theorem, match.divisor, t)
+            rule, cap_name = _COROLLARY[theorem]
+            third_divisor = shape[ROLE_THIRD][0] if third is not None else None
+            for m, role in _role_slots(match, third):
+                cap = shape[role][0] * u
+                biggest = ps[m].parts[0]
+                if biggest > cap:
+                    bound = f"{cap_name}={cap}" if role == ROLE_OTHER else str(cap)
+                    reports.append(FilterReport(
+                        f"{rule}.parts", f"part {biggest} of partition {m} exceeds {bound}",
+                        match.pair, match.divisor, match.subdegree,
+                        third_divisor=third_divisor, index=m))
     return reports
-
-
-def _corollary(reports, ps, match, rule, t, third, capped, cap_name, cap, min_length, strict):
-    """Append one corollary's reports for ``match`` with third partition
-    ``third`` (None for cor1) and its divisor ``t``.
-
-    ``capped`` holds (index, bound) pairs: that partition's largest part
-    must not exceed the bound.  Every other partition outside the pair and
-    the third must have parts of at most ``cap`` (named ``cap_name`` in the
-    detail) and a length of at least ``min_length`` (more when ``strict``).
-    """
-    pair, s, dp = match.pair, match.divisor, match.subdegree
-    for idx, bound in capped:
-        biggest = ps[idx].parts[0]
-        if biggest > bound:
-            reports.append(FilterReport(
-                f"{rule}.parts", f"part {biggest} of partition {idx} exceeds {bound}",
-                pair, s, dp, third_divisor=t, index=idx))
-    for m, _ in match.other_gcds:
-        if m == third:
-            continue
-        biggest = ps[m].parts[0]
-        if biggest > cap:
-            reports.append(FilterReport(
-                f"{rule}.parts", f"part {biggest} of partition {m} exceeds {cap_name}={cap}",
-                pair, s, dp, third_divisor=t, index=m))
-        length = len(ps[m])
-        if (length <= min_length) if strict else (length < min_length):
-            reports.append(FilterReport(
-                f"{rule}.length",
-                f"partition {m} has length {length}, needs {'>' if strict else '>='} {min_length}",
-                pair, s, dp, third_divisor=t, index=m))
 
 
 def songxu_decide(k: int, x: int, y: int, first: Partition) -> Verdict:
@@ -234,47 +273,17 @@ def family_length_budget(s: int, k: int, t: int) -> int:
     return (t * s - 2) * k + 2
 
 
-def family_datum(
-    s: int, k: int, t: int, free_partitions: Iterator[Partition] | list[Partition]
-) -> tuple[CandidateDatum, str | None]:
-    """Assemble (sk, {free..., [s^k], [s^k]}) and its expected outcome.
-
-    The free partitions must be ``t`` nontrivial partitions of ``sk`` whose
-    lengths sum to the exact budget; anything else is an error.  When some
-    free part is at least k+1 the datum is exceptional by ``cor1.parts`` and
-    that rule is returned; otherwise no verdict is asserted.
-    """
-    if s < 2 or k < 2 or t < 1:
-        raise ValueError("need s >= 2, k >= 2, t >= 1")
-    frees = [p if isinstance(p, Partition) else Partition.of(p) for p in free_partitions]
-    if len(frees) != t:
-        raise ValueError(f"expected {t} free partitions, got {len(frees)}")
-    degree = s * k
-    for p in frees:
-        if p.total != degree:
-            raise ValueError(f"free partition {p} does not sum to {degree}")
-        if p.trivial:
-            raise ValueError(f"free partition {p} is trivial")
-    budget = family_length_budget(s, k, t)
-    have = sum(len(p) for p in frees)
-    if have != budget:
-        raise ValueError(f"free partition lengths sum to {have}, the budget is {budget}")
-    uniform = Partition.of([s] * k)
-    datum = CandidateDatum.make(degree, frees + [uniform, uniform])
-    assert rh_defect(datum) == 0
-    expected = "cor1.parts" if any(p.parts[0] >= k + 1 for p in frees) else None
-    return datum, expected
-
-
 def family_instances(s: int, k: int, t: int) -> Iterator[tuple[CandidateDatum, str]]:
-    """All family data with some free part >= k+1 (the exceptional shape).
+    """All family data (sk, {free..., [s^k], [s^k]}) with some free part
+    >= k+1, the shape ``cor1.parts`` rejects.
 
-    Enumerates every multiset of ``t`` nontrivial partitions of sk that
+    Enumerates every multiset of ``t`` nontrivial free partitions of sk that
     meets the exact length budget and contains a big part; yields each
     assembled datum with the rule it is expected to trip.
     """
     if s < 2 or k < 2 or t < 1:
         raise ValueError("need s >= 2, k >= 2, t >= 1")
+    uniform = Partition.of([s] * k)
     for chosen in _length_multisets(s * k, t, family_length_budget(s, k, t)):
         if any(p.parts[0] >= k + 1 for p in chosen):
-            yield family_datum(s, k, t, list(chosen))[0], "cor1.parts"
+            yield CandidateDatum.make(s * k, [*chosen, uniform, uniform]), "cor1.parts"

@@ -6,12 +6,11 @@ The engine decides a datum by the cheapest sufficient means, in order:
   2. degree 1 and the two-partition datum [d] [d], the only balanced data
      with fewer than three partitions, are realizable directly
      (``base-case``);
-  3. the datum's structures are detected once; the weak-mode
-     necessary-condition filters reject structured data violating a bound
-     (``filter:<rule>``);
+  3. the datum's structures are detected once; the necessary-condition
+     filters reject structured data violating a bound (``filter:<rule>``);
   4. data matching the double-cover family shape get the closed-form
      decision (``songxu``); a realizable answer is still certified through
-     a reduction chain before being reported;
+     a reduction chain or a witness, and a contradiction is an error;
   5. the same structures are reduced: if any child is realizable so is the
      parent; if one structure's children enumerate completely and all are
      exceptional, so is the parent (``reduction:<thm>``).  Unknown children
@@ -39,7 +38,6 @@ from .criteria import (
 )
 from .oracle import ConstellationWitness, SearchBudget, check_witness
 from .partitions import CandidateDatum, enumerate_candidates, parse_datum, rh_defect
-from .perms import canonical_of_type, inverse
 from .reduction import (
     ReductionChain,
     ReductionStep,
@@ -99,45 +97,32 @@ class DecisionEngine:
             return Verdict(REALIZABLE, "base-case", certificate=ReductionChain((), None))
         if len(datum.partitions) == 2:
             # balance forces [d] [d]: a cycle and its inverse
-            cyc = canonical_of_type(datum.partitions[0])
-            witness = ConstellationWitness(datum.degree, (cyc, inverse(cyc)))
-            return Verdict(REALIZABLE, "base-case", certificate=witness)
+            return Verdict(REALIZABLE, "base-case", certificate=oracle_mod.two_point_witness(datum))
 
         matches = detect_structures(datum)
         reports = tuple(prop1_filter(matches) + corollary_filter(datum, matches))
         if reports:
             return Verdict(EXCEPTIONAL, f"filter:{reports[0].rule}", reasons=reports)
 
-        songxu_realizable = False
         shape = match_songxu_shape(datum)
-        if shape is not None:
-            closed = songxu_decide(*shape)
-            if closed.status == EXCEPTIONAL:
-                return Verdict(EXCEPTIONAL, "songxu")
-            songxu_realizable = True
+        if shape is not None and songxu_decide(*shape).status == EXCEPTIONAL:
+            return Verdict(EXCEPTIONAL, "songxu")
 
-        reduced = self._try_reductions(datum, matches)
-        if reduced is not None:
-            if songxu_realizable:
-                if reduced.status == EXCEPTIONAL:
-                    raise RuntimeError(
-                        f"closed-form family decision contradicts reduction on {datum}"
-                    )
-                return replace(reduced, method="songxu")
-            return reduced
-
-        if datum.degree <= self.budget.max_degree:
+        verdict = self._try_reductions(datum, matches)
+        if verdict is None:
+            if datum.degree > self.budget.max_degree:
+                return Verdict(UNKNOWN, "oracle", limit=LIMIT_DEGREE)
             verdict = oracle_mod.decide(datum, self.budget)
             self._nodes += verdict.stats.nodes
-            if songxu_realizable:
-                if verdict.status == EXCEPTIONAL:
-                    raise RuntimeError(
-                        f"closed-form family decision contradicts the search on {datum}"
-                    )
-                if verdict.status == REALIZABLE:
-                    return replace(verdict, method="songxu")
-            return verdict
-        return Verdict(UNKNOWN, "oracle", limit=LIMIT_DEGREE)
+        if shape is not None:
+            # the closed form said realizable; the certificate comes from above
+            if verdict.status == EXCEPTIONAL:
+                raise RuntimeError(
+                    f"closed-form family decision contradicts {verdict.method} on {datum}"
+                )
+            if verdict.status == REALIZABLE:
+                return replace(verdict, method="songxu")
+        return verdict
 
     def _try_reductions(
         self, datum: CandidateDatum, matches: tuple[StructureMatch, ...]
@@ -163,20 +148,10 @@ def _reduction_plans(
     datum: CandidateDatum, matches: tuple[StructureMatch, ...]
 ) -> list[tuple[tuple, StructureMatch, int | None, int | None]]:
     """Every admissible role assignment as (key, match, third, t), cheapest child
-    degree first; ``key`` is (child degree, theorem, pair, third or divisor, t)."""
-    plans = []
-    for match in matches:
-        plans.append(((match.subdegree, "thm1", match.pair, match.divisor, 0), match, None, None))
-        if match.divisor == 2:
-            for h, g in match.other_gcds:
-                for t in range(g, 1, -1):
-                    if g % t == 0 and match.subdegree % t == 0:
-                        key = (match.subdegree // t, "thm2", match.pair, h, t)
-                        plans.append((key, match, h, t))
-        if match.divisor == 3 and match.subdegree % 4 == 0:
-            for h, g in match.other_gcds:
-                if g % 2 == 0:
-                    plans.append(((match.subdegree // 4, "thm3", match.pair, h, 0), match, h, None))
+    degree first; ``key`` is (child degree, theorem, pair, third or divisor, t or 0)."""
+    plans = [((u, theorem, match.pair, match.divisor if third is None else third, t or 0),
+              match, third, t)
+             for match in matches for theorem, third, t, u in match.reductions]
     plans.sort(key=lambda plan: plan[0])
     return plans
 
@@ -209,10 +184,12 @@ def verify(verdict: Verdict, datum: CandidateDatum) -> bool:
 
     Certificates are fully re-verified (witness invariants, chain replay and
     linkage, base certificate).  Filter, balance, and closed-form verdicts
-    are re-derived; filters with the provable weak bounds only, so a filter
-    verdict that only the strict bounds support is rejected.  No base case
-    is exceptional.  Exceptional verdicts from the search or a reduction
-    carry no certificate; for those only structural consistency is checked.
+    are re-derived; the filters hold only provable bounds, so a filter
+    verdict naming a rule that does not fire is rejected, and so is one
+    naming a corollary length rule, which balance makes redundant and the
+    filters no longer check.  No base case is exceptional.  Exceptional
+    verdicts from the search or a reduction carry no certificate; for those
+    only structural consistency is checked.
     A malformed certificate is rejected: a witness of the wrong lengths or
     with images that are not a permutation of integers, or a chain whose
     steps or base are of the wrong type.  An exception raised while checking
@@ -297,6 +274,17 @@ class ScanReport:
         return lines
 
 
+def _strict_audit(datum: CandidateDatum, matches: tuple[StructureMatch, ...]) -> bool:
+    """Whether the strict corollary bounds, which also demand more parts than
+    pieces of every other partition, would flag ``datum``.  Balance gives at
+    least as many (see :mod:`hurwitz.criteria`), and exactly 2t or 12 beside
+    a thm2 or thm3 third would make it trivial, so only a partition outside
+    an s-pair with exactly s parts is left."""
+    return bool(corollary_filter(datum, matches)) or any(
+        len(datum.partitions[m]) == match.divisor for match in matches for m, _ in match.other_gcds
+    )
+
+
 def _scan_one(task: tuple[str, SearchBudget, str]) -> tuple[dict, dict]:
     """Decide one candidate; returns (jsonl row, report metadata).
 
@@ -325,11 +313,11 @@ def _scan_one(task: tuple[str, SearchBudget, str]) -> tuple[dict, dict]:
         "input": text,
         "status": resolved[0] if resolved else UNKNOWN,
         "disagree": len(set(resolved)) > 1,
-        # a weak false positive is already a disagreement in ``both`` mode
+        # a filter false positive is already a disagreement in ``both`` mode
         "audit": (
             oracle_verdict is not None
             and oracle_verdict.status == REALIZABLE
-            and bool(corollary_filter(datum, detect_structures(datum), strict=True))
+            and _strict_audit(datum, detect_structures(datum))
         ),
     }
     return row, meta

@@ -131,7 +131,8 @@ class BudgetExhausted(Exception):
 
 
 class _TupleSearch:
-    """Backtracking enumeration of witness tuples for one datum."""
+    """Backtracking enumeration of witness tuples for one datum of three or
+    more partitions."""
 
     def __init__(self, datum: CandidateDatum, budget: SearchBudget) -> None:
         self.degree = d = datum.degree
@@ -172,7 +173,7 @@ class _TupleSearch:
         # merges the forced factor can still make: d - len(forced type) at
         # first, one less for each product entry that joins two open chains
         caps = [d - len(self.types[p]) for p in self.middles]
-        self.later_cap = [sum(caps[mi + 1:]) for mi in range(len(caps) + 1)]
+        self.later_cap = [sum(caps[mi + 1:]) for mi in range(len(caps))]
         self.forced_left = d - len(forced_type)
 
         # the product R o L whose inverse is the forced factor composes the
@@ -198,9 +199,9 @@ class _TupleSearch:
     # -- the forced factor's product, one entry per image of the last middle --
 
     def _track(self) -> None:
-        """Write R o L = A o M o B, M the last middle (identity if there is none)."""
+        """Write R o L = A o M o B, M the last middle."""
         seq = self.around
-        t = seq.index(self.middles[-1]) if self.middles else len(seq)
+        t = seq.index(self.middles[-1])
         self.a_map = self._compose(seq[:t])
         self.b_inv = inverse(self._compose(seq[t + 1:]))
         self.tracking = True
@@ -220,14 +221,7 @@ class _TupleSearch:
     # -- search --
 
     def run(self) -> ConstellationWitness | None:
-        if self.middles:
-            return self._enter_middle(0)
-        # two factors: nothing is enumerated, the product is the pinned factor;
-        # its entries are linked as the fixed points of an identity middle,
-        # which costs no nodes since no factor is enumerated
-        self._track()
-        d = self.degree
-        return self._place_cycle(0, [-1] * d, [False] * d, {1: d}, [1], 0, 0)
+        return self._enter_middle(0)
 
     def _enter_middle(self, mi: int) -> ConstellationWitness | None:
         if mi >= len(self.middles):
@@ -322,9 +316,6 @@ class _TupleSearch:
             offered = 0  # length of the last untouched cycle offered
         else:
             candidates = (leader,)
-            # the identity standing in for the middle of a two-factor datum
-            # is not enumerated, so its fixed points cost no nodes
-            charged = mi < len(self.middles)
         for nxt in candidates:
             if left:
                 if used[nxt]:
@@ -335,7 +326,7 @@ class _TupleSearch:
                         if nxt != cycle_base[c] or cycle_len[c] == offered:
                             continue
                         offered = cycle_len[c]
-            elif charged:
+            else:
                 self.nodes += 1
                 if self.nodes > self.max_nodes:
                     raise BudgetExhausted
@@ -416,11 +407,24 @@ class _TupleSearch:
         return ConstellationWitness(self.degree, tuple(tuple(p) for p in perms))
 
 
+def two_point_witness(datum: CandidateDatum) -> ConstellationWitness:
+    """The witness of a balanced datum with at most two partitions.
+
+    Balance leaves only the degree-1 datum, whose witness is the empty
+    tuple, and [d] [d], whose witness is a d-cycle and its inverse.
+    """
+    if not datum.partitions:
+        return ConstellationWitness(datum.degree, ())
+    cyc = canonical_of_type(datum.partitions[0])
+    return ConstellationWitness(datum.degree, (cyc, inverse(cyc)))
+
+
 def decide(datum: CandidateDatum, budget: SearchBudget | None = None) -> Verdict:
     """Complete search verdict: realizable with witness, exceptional, or unknown.
 
     Requires a balanced datum.  Degrees above ``budget.max_degree`` return
-    unknown("degree-limit") without searching; running out of nodes returns
+    unknown("degree-limit") without searching, and data with fewer than
+    three partitions get :func:`two_point_witness`; running out of nodes returns
     unknown("budget").  An exceptional verdict means the search space was
     exhausted.
     """
@@ -431,10 +435,8 @@ def decide(datum: CandidateDatum, budget: SearchBudget | None = None) -> Verdict
         return Verdict(UNKNOWN, "oracle", limit=LIMIT_DEGREE)
 
     start = time.perf_counter()
-    if not datum.partitions:
-        # balanced with no branch points means degree 1: the identity cover
-        witness = ConstellationWitness(datum.degree, ())
-        return Verdict(REALIZABLE, "oracle", certificate=witness,
+    if len(datum.partitions) < 3:
+        return Verdict(REALIZABLE, "oracle", certificate=two_point_witness(datum),
                        stats=_stats(0, start))
 
     search = _TupleSearch(datum, budget)

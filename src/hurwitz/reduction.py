@@ -2,23 +2,11 @@
 
 Each transformation takes a datum with a divisible pair and produces the
 strictly smaller candidate data whose realizability is equivalent to the
-parent's:
-
-  thm1  pair divisible by s: quotient the pair by s and split every other
-        partition into s partitions of d' = d/s; child degree d'.
-  thm2  pair divisible by 2 plus a partition divisible by t (t | d',
-        d' = d/2): child degree d'/t, assembled from splitting the third
-        partition (divided by t) in two, each half-pair (divided by 2)
-        into t groups, and every remaining partition into 2t groups.
-  thm3  pair divisible by 3 plus an all-even partition with 4 | d'
-        (d' = d/3): child degree d'/4, from splitting the even partition
-        (halved) into six groups, each pair member (divided by 3) into
-        four, and every remaining partition into twelve.
-
-The table ``_ARITY`` is the single statement of each theorem's shape: the
-pair and third divisors it takes, and for every role the scale that
-rebuilds the source and the number of pieces.  The one child enumerator
-and :func:`replay` both read it.
+parent's.  The three theorems thm1-thm3 are stated once, in the table
+``criteria._ARITY`` (described in :mod:`hurwitz.criteria`): the divisors
+each takes, and every role's scale and piece count.  The one child
+enumerator, the admissibility check of ``children_thm1/2/3`` and
+:func:`replay` all read it.
 
 A :class:`ReductionStep` records enough to replay the transformation, so a
 chain of steps ending in a witness (or in the trivial degree-1 datum) is an
@@ -31,24 +19,9 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Iterator
 
-from .criteria import StructureMatch
+from .criteria import _ANY, _ARITY, ROLE_PAIR, ROLE_THIRD, StructureMatch, _role_slots, _shape
 from .oracle import ConstellationWitness
 from .partitions import CandidateDatum, Partition, decompose, merged, rh_defect
-
-ROLE_PAIR = "pair"
-ROLE_THIRD = "third"
-ROLE_OTHER = "other"
-
-_ANY = "any"  # a divisor that may be any value >= 2
-
-# per theorem: the pair divisor s and third divisor t it takes (a fixed int,
-# _ANY, or None for absent), and the map of s and t to each role's (scale to
-# rebuild the source, piece count)
-_ARITY = {
-    "thm1": (_ANY, None, lambda s, t: {ROLE_PAIR: (s, 1), ROLE_OTHER: (1, s)}),
-    "thm2": (2, _ANY, lambda s, t: {ROLE_PAIR: (2, t), ROLE_THIRD: (t, 2), ROLE_OTHER: (1, 2 * t)}),
-    "thm3": (3, None, lambda s, t: {ROLE_PAIR: (3, 4), ROLE_THIRD: (2, 6), ROLE_OTHER: (1, 12)}),
-}
 
 
 class StepReplayError(ValueError):
@@ -134,7 +107,7 @@ def replay(step: ReductionStep) -> CandidateDatum:
     """
     if step.theorem not in _ARITY:
         raise StepReplayError(f"unknown theorem {step.theorem!r}")
-    fixed_s, fixed_t, roles = _ARITY[step.theorem]
+    fixed_s, fixed_t, _ = _ARITY[step.theorem]
     for name, fixed, value in (("s", fixed_s, step.s), ("t", fixed_t, step.t)):
         if fixed is None:
             ok = value is None
@@ -142,7 +115,7 @@ def replay(step: ReductionStep) -> CandidateDatum:
             ok = type(value) is int and (value >= 2 if fixed == _ANY else value == fixed)
         if not ok:
             raise StepReplayError(f"{step.theorem} does not take {name}={value!r}")
-    shape = roles(step.s, step.t)
+    shape = _shape(step.theorem, step.s, step.t)
     u = step.child.degree
     sources = []
     all_pieces: list[Partition] = []
@@ -191,13 +164,9 @@ def _children(
     skips :func:`decompose`.
     """
     s = match.divisor
-    shape = _ARITY[theorem][2](s, t)
+    shape = _shape(theorem, s, t)
     u = match.subdegree // shape[ROLE_PAIR][1]  # d / (pair scale s * pair pieces)
-    i, j = match.pair
-    slots = [(i, ROLE_PAIR), (j, ROLE_PAIR)]
-    if third is not None:
-        slots.append((third, ROLE_THIRD))
-    slots.extend((m, ROLE_OTHER) for m, _ in match.other_gcds if m != third)
+    slots = _role_slots(match, third)
     ps = datum.partitions
     option_lists = []
     for m, role in slots:
@@ -219,45 +188,33 @@ def _children(
         yield ReductionStep(theorem, s, t, match.pair, tuple(records), child)
 
 
+def _reduce(
+    theorem: str, datum: CandidateDatum, match: StructureMatch, third: int | None = None,
+    t: int | None = None,
+) -> Iterator[ReductionStep]:
+    """The children of ``theorem`` on a balanced datum, once the table admits
+    its pair, third and t; a ValueError otherwise."""
+    if rh_defect(datum) != 0:
+        raise ValueError("datum must be balanced")
+    if (theorem, third, t) not in [plan[:3] for plan in match.reductions]:
+        raise ValueError(f"{theorem} does not admit third={third}, t={t} on pair {match.pair}"
+                         f" divisible by {match.divisor}, d'={match.subdegree}")
+    return _children(theorem, datum, match, third, t)
+
+
 def children_thm1(datum: CandidateDatum, match: StructureMatch) -> Iterator[ReductionStep]:
     """Children of degree d/s for an s-divisible pair; empty when some other
     partition admits no split into s partitions of d'."""
-    if rh_defect(datum) != 0:
-        raise ValueError("datum must be balanced")
-    if match.divisor < 2:
-        raise ValueError("pair divisor must be at least 2")
-    return _children("thm1", datum, match)
+    return _reduce("thm1", datum, match)
 
 
 def children_thm2(
     datum: CandidateDatum, match: StructureMatch, third: int, t: int
 ) -> Iterator[ReductionStep]:
     """Children of degree d'/t for a 2-divisible pair and a t-divisible third."""
-    if rh_defect(datum) != 0:
-        raise ValueError("datum must be balanced")
-    if match.divisor != 2:
-        raise ValueError("the pair must be divisible by exactly 2 for this reduction")
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    if third in match.pair or not 0 <= third < len(datum.partitions):
-        raise ValueError("third partition must be outside the pair")
-    if any(p % t for p in datum.partitions[third].parts):
-        raise ValueError(f"every part of {datum.partitions[third]} must be divisible by {t}")
-    if match.subdegree % t:
-        raise ValueError(f"t={t} must divide d'={match.subdegree}")
-    return _children("thm2", datum, match, third, t)
+    return _reduce("thm2", datum, match, third, t)
 
 
 def children_thm3(datum: CandidateDatum, match: StructureMatch, third: int) -> Iterator[ReductionStep]:
     """Children of degree d'/4 for a 3-divisible pair and an all-even third."""
-    if rh_defect(datum) != 0:
-        raise ValueError("datum must be balanced")
-    if match.divisor != 3:
-        raise ValueError("the pair must be divisible by exactly 3 for this reduction")
-    if third in match.pair or not 0 <= third < len(datum.partitions):
-        raise ValueError("third partition must be outside the pair")
-    if any(p % 2 for p in datum.partitions[third].parts):
-        raise ValueError(f"every part of {datum.partitions[third]} must be even")
-    if match.subdegree % 4:
-        raise ValueError(f"4 must divide d'={match.subdegree}")
-    return _children("thm3", datum, match, third)
+    return _reduce("thm3", datum, match, third)

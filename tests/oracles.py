@@ -5,12 +5,15 @@ cycle lengths and orbits are recomputed inline, splits are enumerated over
 labeled groups and the labels forgotten afterwards, and the tuple search
 enumerates whole conjugacy classes outright with no canonical pinning, no
 cycle-by-cycle construction, and no pruning.  :func:`songxu_datum` builds
-the double-cover family datum that the closed form is checked against.
+the double-cover family datum that the closed form is checked against, and
+:func:`reference_corollaries` states the corollary filter case by case, with
+its length rules.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from hurwitz.partitions import CandidateDatum, Partition
 
@@ -132,3 +135,52 @@ def songxu_datum(k: int, x: int, y: int, first: Partition) -> CandidateDatum:
     second = Partition.of([2] * (k - y) + [2 * y])
     third = Partition.of([2] * (k - x) + [2 * x])
     return CandidateDatum.make(2 * k, [first, second, third])
+
+
+def reference_corollaries(datum: CandidateDatum, strict: bool) -> list[dict]:
+    """Corollaries 1-3 written out case by case, with their own structure
+    detection, as ``FilterReport.to_json`` dicts in the package's order.
+
+    Besides the part-size rules this keeps the length rules: a partition
+    outside the pair and the third needs at least s (cor1), 2t (cor2) or 12
+    (cor3) parts, or more than that with ``strict``, which over-rejects.
+    """
+    ps = [p.parts for p in datum.partitions]
+    gcds = [math.gcd(*p) for p in ps]
+    reports = []
+    for i, j in itertools.combinations(range(len(ps)), 2):
+        g = math.gcd(gcds[i], gcds[j])
+        for s in range(2, g + 1):
+            if g % s:
+                continue
+            dp = datum.degree // s
+            others = [m for m in range(len(ps)) if m not in (i, j)]
+
+            def corollary(rule, t, third, capped, cap_name, cap, min_length):
+                def report(kind, detail, index):
+                    reports.append({"rule": f"{rule}.{kind}", "detail": detail, "pair": [i, j],
+                                    "s": s, "t": t, "d_prime": dp, "index": index})
+
+                for idx, bound in capped:
+                    if ps[idx][0] > bound:
+                        report("parts", f"part {ps[idx][0]} of partition {idx} exceeds {bound}", idx)
+                for m in others:
+                    if m == third:
+                        continue
+                    if ps[m][0] > cap:
+                        report("parts", f"part {ps[m][0]} of partition {m} exceeds {cap_name}={cap}", m)
+                    length = len(ps[m])
+                    if length <= min_length if strict else length < min_length:
+                        report("length", f"partition {m} has length {length}, needs"
+                               f" {'>' if strict else '>='} {min_length}", m)
+
+            corollary("cor1", None, None, (), "d'", dp, s)
+            for h in others:
+                gh = gcds[h]
+                if s == 2 and gh >= 2 and dp % gh == 0:
+                    half = 2 * dp // gh
+                    corollary("cor2", gh, h, ((i, half), (j, half), (h, dp)), "d'/t", dp // gh, 2 * gh)
+                elif s == 3 and dp % 4 == 0 and gh % 2 == 0:
+                    capped = ((i, 3 * dp // 4), (j, 3 * dp // 4), (h, dp // 2))
+                    corollary("cor3", 2, h, capped, "d'/4", dp // 4, 12)
+    return reports

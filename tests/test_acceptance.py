@@ -150,7 +150,7 @@ def test_criterion_filter_soundness_scan():
             for datum in enumerate_candidates(degree, n):
                 candidates += 1
                 matches = detect_structures(datum)
-                reports = prop1_filter(matches) + corollary_filter(datum, matches, strict=False)
+                reports = prop1_filter(matches) + corollary_filter(datum, matches)
                 if not reports:
                     continue
                 flagged += 1
@@ -216,7 +216,7 @@ def test_criterion_family_regression():
             failures.append(f"no instances for k={k}")
         for datum, rule in instances:
             total += 1
-            rules = {r.rule for r in corollary_filter(datum, detect_structures(datum), strict=False)}
+            rules = {r.rule for r in corollary_filter(datum, detect_structures(datum))}
             if rule not in rules:
                 failures.append(f"{datum.render()} missing {rule}")
             if oracle_status(datum) != EXCEPTIONAL:

@@ -3,17 +3,17 @@ import pytest
 from hurwitz.criteria import (
     corollary_filter,
     detect_structures,
-    family_datum,
     family_instances,
     family_length_budget,
     match_songxu_shape,
     prop1_filter,
     songxu_decide,
 )
+from hurwitz.engine import _strict_audit
 from hurwitz.oracle import decide as oracle_decide
-from hurwitz.partitions import CandidateDatum, Partition, parse_datum, rh_defect
+from hurwitz.partitions import CandidateDatum, Partition, enumerate_candidates, parse_datum, rh_defect
 from hurwitz.verdicts import EXCEPTIONAL, REALIZABLE
-from oracles import songxu_datum
+from oracles import reference_corollaries, songxu_datum
 
 
 def D(text):
@@ -28,8 +28,8 @@ def prop1(datum):
     return prop1_filter(detect_structures(datum))
 
 
-def corollaries(datum, strict=False):
-    return corollary_filter(datum, detect_structures(datum), strict=strict)
+def corollaries(datum):
+    return corollary_filter(datum, detect_structures(datum))
 
 
 # -- structure detection --
@@ -96,10 +96,34 @@ def test_cor1_parts_on_family_instance():
 
 
 def test_weak_passes_strict_flags():
+    # realizable, and the partition outside each pair has exactly s = 2 parts,
+    # which only the strict length rule the scan audits would reject
     datum = D("4: [2,2] [2,2] [2,2]")
-    assert corollaries(datum, strict=False) == []
-    strict = corollaries(datum, strict=True)
-    assert any(r.rule == "cor1.length" for r in strict)
+    matches = detect_structures(datum)
+    assert corollary_filter(datum, matches) == []
+    assert _strict_audit(datum, matches)
+
+
+def test_corollary_filter_matches_reference():
+    # every structured datum with n = 3, d <= 16 and with n <= 5, d <= 10:
+    # the table-driven filter gives the hand-written reports in order, no
+    # length rule fires, and the scan's audit is the strict reference
+    checked = flagged = audited = 0
+    for n, degree_max in ((2, 10), (3, 16), (4, 10), (5, 10)):
+        for degree in range(2, degree_max + 1):
+            for datum in enumerate_candidates(degree, n):
+                matches = detect_structures(datum)
+                if not matches:
+                    continue
+                checked += 1
+                weak = reference_corollaries(datum, strict=False)
+                assert [r.to_json() for r in corollary_filter(datum, matches)] == weak, datum.render()
+                assert not any(r["rule"].endswith(".length") for r in weak), datum.render()
+                strict = bool(reference_corollaries(datum, strict=True))
+                assert _strict_audit(datum, matches) == strict, datum.render()
+                flagged += bool(weak)
+                audited += strict
+    assert (checked, flagged, audited) == (5543, 437, 444)
 
 
 def test_report_json_shape():
@@ -151,23 +175,8 @@ def test_match_songxu_shape():
 # -- exceptional family generator --
 
 
-def test_family_datum_example():
-    datum, rule = family_datum(2, 3, 2, [P(4, 1, 1), P(2, 1, 1, 1, 1)])
-    assert datum == D("6: [4,1,1] [2,1,1,1,1] [2,2,2] [2,2,2]")
-    assert rule == "cor1.parts"
-    assert rh_defect(datum) == 0
-
-
-def test_family_datum_no_big_part_unasserted():
-    datum, rule = family_datum(2, 3, 2, [P(2, 2, 1, 1), P(2, 2, 1, 1)])
-    assert rule is None
-    assert rh_defect(datum) == 0
-
-
-def test_family_datum_budget_gate():
+def test_family_length_budget():
     assert family_length_budget(3, 2, 2) == 10
-    with pytest.raises(ValueError):
-        family_datum(3, 2, 2, [P(3, 3), P(2, 2, 1, 1)])
 
 
 def test_family_instances_small():

@@ -45,10 +45,15 @@ def test_zheng_pair():
 
 
 def test_base_shapes():
-    assert decide(CandidateDatum.make(1, [])).status == REALIZABLE
+    one = decide(CandidateDatum.make(1, []))
+    assert one.status == REALIZABLE and one.certificate.perms == ()
     two = decide(D("5: [5] [5]"))
     assert two.status == REALIZABLE
     assert two.stats.nodes == 0  # nothing is enumerated
+    # the closed form: a 5-cycle and its inverse, as in the engine's base case
+    assert two.certificate.perms == ((1, 2, 3, 4, 0), (4, 0, 1, 2, 3))
+    assert two.certificate == oracle_mod.two_point_witness(D("5: [5] [5]"))
+    assert check_witness(D("5: [5] [5]"), two.certificate)
 
 
 def test_rh_precondition():
