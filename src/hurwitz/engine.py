@@ -248,9 +248,6 @@ def _verify_chain(datum: CandidateDatum, chain: ReductionChain) -> bool:
 class ScanReport:
     """Dual adjudication of every candidate in a range."""
 
-    degree_max: int
-    branch_points_max: int
-    mode: str
     rows: list[dict] = field(default_factory=list)
     disagreements: list[str] = field(default_factory=list)
     counts: dict[tuple[int, int], dict[str, int]] = field(default_factory=dict)
@@ -341,7 +338,7 @@ def scan(
     if mode not in ("both", "oracle-only", "pipeline-only"):
         raise ValueError(f"unknown scan mode {mode!r}")
     budget = budget or SearchBudget()
-    report = ScanReport(degree_max, branch_points_max, mode)
+    report = ScanReport()
 
     tasks = []
     keys = []

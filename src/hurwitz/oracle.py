@@ -28,8 +28,20 @@ here is complete:
     merges still possible cannot join the orbits into one.  Those are the
     edges left in the cycle being built, the rest of its factor, the later
     factors, and the forced factor's d - len(type) merges less one for each
-    product entry already known to join two open chains.  A complete tuple
+    product entry already known to join two open chains.  In the last
+    enumerated factor only the forced factor's merges count: a step that
+    joins two orbits cannot close a product cycle, since the chain it
+    extends starts in the orbit of its preimage, so it also joins two
+    chains, and orbits - merges left never falls there.  A complete tuple
     is therefore transitive, and the leaf only assembles the witness,
+  * with four or more factors, the last enumerated factor M is solved once
+    per subproblem: with X the product of the other enumerated and the
+    pinned factors in cyclic order from just after M, A o M o B is
+    conjugate to M o X, conjugating by g maps each solution M to gMg^-1,
+    and A, B and X preserve every orbit of the factors fixed so far.  So
+    whether some M of its type completes a witness depends only on the
+    multiset, over those orbits, of X's cycle type inside each, and a
+    search skips a subproblem whose key it has already exhausted,
   * while the first enumerated factor is built, each image is offered once
     per class of points that the pinned factor's centralizer can swap
     without moving a point already used: an unused point of a pinned
@@ -130,6 +142,31 @@ class BudgetExhausted(Exception):
     pass
 
 
+def _subproblem_key(x: Perm, parent: list[int]) -> tuple:
+    """The multiset, over the blocks of a union-find forest ``parent``, of the
+    cycle types of ``x`` inside each block; ``x`` must preserve every block.
+
+    Two such pairs are simultaneously conjugate exactly when their keys are
+    equal: a conjugation maps blocks to blocks of the same size and, inside
+    each, the cycles of ``x`` to cycles of the same length.
+    """
+    blocks: dict[int, list[int]] = {}
+    seen = [False] * len(x)
+    for start in range(len(x)):
+        if seen[start]:
+            continue
+        length = 0
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            length += 1
+            p = x[p]
+        while parent[p] != p:
+            p = parent[p]
+        blocks.setdefault(p, []).append(length)
+    return tuple(sorted(tuple(sorted(lengths)) for lengths in blocks.values()))
+
+
 class _TupleSearch:
     """Backtracking enumeration of witness tuples for one datum of three or
     more partitions."""
@@ -193,18 +230,27 @@ class _TupleSearch:
         self.lengths = sorted(set(forced_type), reverse=True)
         self.longest = self.lengths[0]  # the longest part with unused[part] > 0
 
+        # keys of the last middle's subproblems found to hold no witness
+        self.dead: set[tuple] = set()
+
         self.nodes = 0
         self.max_nodes = budget.max_nodes
 
     # -- the forced factor's product, one entry per image of the last middle --
 
-    def _track(self) -> None:
-        """Write R o L = A o M o B, M the last middle."""
+    def _track(self) -> tuple | None:
+        """Write R o L = A o M o B, M the last middle, and return the
+        :func:`_subproblem_key` of X = B o A and the current orbits, or None
+        when M is the only middle and there is nothing to skip."""
         seq = self.around
         t = seq.index(self.middles[-1])
-        self.a_map = self._compose(seq[:t])
-        self.b_inv = inverse(self._compose(seq[t + 1:]))
+        a_map = self.a_map = self._compose(seq[:t])
+        b_map = self._compose(seq[t + 1:])
+        self.b_inv = inverse(b_map)
         self.tracking = True
+        if len(self.middles) == 1:
+            return None
+        return _subproblem_key([b_map[y] for y in a_map], self.parent)
 
     def _compose(self, positions: list[int]) -> Perm:
         acc = list(range(self.degree))
@@ -226,6 +272,12 @@ class _TupleSearch:
     def _enter_middle(self, mi: int) -> ConstellationWitness | None:
         if mi >= len(self.middles):
             return self._leaf()
+        key = None
+        if mi == len(self.middles) - 1:
+            key = self._track()
+            if key in self.dead:
+                self.tracking = False
+                return None
         pos = self.middles[mi]
         counts: dict[int, int] = {}
         for c in self.types[pos]:
@@ -234,10 +286,10 @@ class _TupleSearch:
         img = [-1] * self.degree
         used = [False] * self.degree
         self.images[pos] = img
-        if mi == len(self.middles) - 1:
-            self._track()
         cap = self.degree - len(self.types[pos])
         found = self._place_cycle(mi, img, used, counts, lengths, cap, 0)
+        if found is None and key is not None:
+            self.dead.add(key)
         self.tracking = False
         self.images[pos] = None
         return found
@@ -278,15 +330,19 @@ class _TupleSearch:
         unites tip with its image, and it prunes unless the merges still
         possible can join the orbits into one: the ``left - 1`` edges of this
         cycle that can still merge, the rest of this middle (``cap_after``),
-        the later middles and the forced factor's ``forced_left``.  Every
-        state it changes is restored before the next image.
+        the later middles and the forced factor's ``forced_left``; in the
+        last middle, ``forced_left`` alone.  Every state it changes is
+        restored before the next image.
         """
         # merges still possible beyond those the orbits need; a step's own
-        # union adds one, a step's join spends one, and it must stay >= 0
-        surplus = (max(left - 1, 0) + cap_after + self.later_cap[mi] + self.forced_left
-                   - self.orbits + 1)
+        # union adds one, a step's join spends one, and it must stay >= 0.
+        # In the last middle a union always joins two chains too, so only
+        # the forced factor's merges count there
+        surplus = self.forced_left - self.orbits + 1
         tracking = self.tracking
-        if tracking:
+        if not tracking:
+            surplus += max(left - 1, 0) + cap_after + self.later_cap[mi]
+        else:
             # all of tip's product entry but its image is known at this level
             ends = self.chain_end
             lens = self.chain_len

@@ -230,21 +230,21 @@ def test_every_leaf_is_a_witness(monkeypatch):
 
 
 def test_orbit_bound_node_count():
-    # uniting a middle edge only when its cycle closes, or not spending a
-    # forced merge on each product entry that joins two chains, raises this
-    # count
+    # uniting a middle edge only when its cycle closes, not spending a
+    # forced merge on each product entry that joins two chains, or crediting
+    # the last middle's own edges raises this count
     nodes = sum(decide(datum).stats.nodes for datum in enumerate_candidates(7, 4))
-    assert nodes == 31_646
+    assert nodes == 20_833
 
 
 def test_chain_prune_reads_the_longest_unused_part():
-    # the forced factor is [2,1,1,1,1]: once a product cycle of length 2
-    # closes, an open chain of two entries is already too long.  A prune
-    # that kept reading the longest part of the whole type raises this
-    # count to 106
-    verdict = decide(D("6: [2,2,2] [2,2,2] [4,1,1] [2,1,1,1,1]"))
-    assert verdict.status == EXCEPTIONAL
-    assert verdict.stats.nodes == 104
+    # the forced factor is [3,2,2,1]: once a product cycle of length 3
+    # closes, an open chain of three entries is already too long.  A prune
+    # that kept reading the longest part of the whole type raises this count
+    # to 67
+    verdict = decide(D("8: [5,3] [3,2,2,1] [2,2,2,1,1] [2,1,1,1,1,1,1]"))
+    assert verdict.status == REALIZABLE
+    assert verdict.stats.nodes == 58
 
 
 def test_three_point_roles_by_class_size():
@@ -286,14 +286,15 @@ def test_every_role_assignment_keeps_status(monkeypatch):
     assert all(len(seen) == 1 for seen in statuses.values())
 
 
-def test_orbit_bound_counts_every_edge_left_in_the_cycle(monkeypatch):
+def test_last_middle_bound_counts_only_forced_merges(monkeypatch):
     # 5: [4,1] [4,1] [3,1,1] pins [3,1,1] as (0 1 2), forces the first [4,1]
     # and enumerates the second, whose 4-cycle from 0 is tried as 0 -> 1 ->
     # 2 first.  Neither step joins two orbits and each joins two product
-    # chains, so after 1 -> 2 the 3 orbits can still be joined by exactly 2
-    # merges: the one edge left in the cycle that can merge, and the forced
-    # factor's one merge left.  The bound keeps the branch; counting one
-    # edge fewer in the cycle would prune it.
+    # chains, so after 1 -> 2 three orbits are left with one forced merge.
+    # In the last middle a union of two orbits always joins two chains too,
+    # so that one merge is all that can still join them: the branch dies,
+    # though the cycle's last edge could merge.  Crediting that edge keeps
+    # the branch.  The witness, the first in the search order, is the same.
     datum = D("5: [4,1] [4,1] [3,1,1]")
     search = _TupleSearch(datum, SearchBudget())
     assert (search.fixed_pos, search.forced_pos, search.middles) == (2, 0, [1])
@@ -305,8 +306,89 @@ def test_orbit_bound_counts_every_edge_left_in_the_cycle(monkeypatch):
         return extend(self, mi, img, used, counts, lengths, cap_after, leader, tip, left)
 
     monkeypatch.setattr(_TupleSearch, "_extend_cycle", recorded)
-    assert search.run() is not None
-    assert ((1, 2, -1, -1, -1), 2, 1, 3, 1) in reached
+    assert search.run() == ConstellationWitness(5, (
+        (4, 0, 2, 1, 3),
+        (2, 1, 3, 4, 0),
+        (1, 2, 0, 3, 4),
+    ))
+    assert ((1, -1, -1, -1, -1), 1, 2, 3, 2) in reached
+    assert ((1, 2, -1, -1, -1), 2, 1, 3, 1) not in reached
+    assert all(orbits - 1 <= forced_left for *_, orbits, forced_left in reached)
+
+
+def _without_skip(monkeypatch):
+    """Make every search solve each last-middle subproblem afresh."""
+    track = _TupleSearch._track
+
+    def keyless(self):
+        track(self)
+        return None
+
+    monkeypatch.setattr(_TupleSearch, "_track", keyless)
+
+
+def test_dead_subproblem_skip_keeps_every_verdict(monkeypatch):
+    # the skip prunes only subtrees without a witness, so the first witness
+    # found, and every status, is the same without it
+    data = [datum for degree in range(2, 8) for datum in enumerate_candidates(degree, 4)]
+    data += [datum for degree in range(2, 7) for datum in enumerate_candidates(degree, 5)]
+    with_skip = [decide(datum) for datum in data]
+    _without_skip(monkeypatch)
+    fired = 0
+    for datum, verdict in zip(data, with_skip):
+        plain = decide(datum)
+        assert (plain.status, plain.certificate) == (verdict.status, verdict.certificate)
+        assert verdict.stats.nodes <= plain.stats.nodes
+        fired += verdict.stats.nodes < plain.stats.nodes
+    assert fired
+
+
+def test_subproblem_key_is_conjugation_invariant():
+    rng = random.Random(2024)
+    for _ in range(200):
+        degree = rng.randint(1, 12)
+        points = list(range(degree))
+        rng.shuffle(points)
+        # random blocks, each a union-find tree, and x permuting each block
+        parent = list(range(degree))
+        x = list(range(degree))
+        cuts = sorted(rng.sample(range(1, degree), rng.randint(0, degree - 1)))
+        for block in (points[i:j] for i, j in zip([0] + cuts, cuts + [degree])):
+            for k, p in enumerate(block[1:], 1):
+                parent[p] = block[rng.randrange(k)]
+            images = block[:]
+            rng.shuffle(images)
+            for p, q in zip(block, images):
+                x[p] = q
+        gamma = list(range(degree))
+        rng.shuffle(gamma)
+        moved_x = relabel(tuple(x), tuple(gamma))
+        moved_parent = [0] * degree
+        for p in range(degree):
+            moved_parent[gamma[p]] = gamma[parent[p]]
+        key = oracle_mod._subproblem_key(x, parent)
+        assert oracle_mod._subproblem_key(moved_x, moved_parent) == key
+        assert sum(map(sum, key)) == degree
+
+
+def test_subproblem_key_tells_blocks_apart():
+    # one 2-cycle of x in one block of four points, or in two blocks of two
+    x = (1, 0, 2, 3)
+    assert oracle_mod._subproblem_key(x, [0, 0, 0, 0]) == ((1, 1, 2),)
+    assert oracle_mod._subproblem_key(x, [0, 0, 2, 2]) == ((1, 1), (2,))
+
+
+def test_dead_subproblem_skip_node_count(monkeypatch):
+    # the search builds one [4,1,1,1,1] factor and then solves the other
+    # for it: 21 of the 32 subproblems it meets repeat one already found
+    # dead, and without the skip this count is 11,804
+    datum = D("8: [4,2,1,1] [5,1,1,1] [4,1,1,1,1] [4,1,1,1,1]")
+    verdict = decide(datum)
+    assert verdict.stats.nodes == 4_231
+    _without_skip(monkeypatch)
+    plain = decide(datum)
+    assert plain.stats.nodes == 11_804
+    assert plain.certificate == verdict.certificate
 
 
 SMALL_DATA = [
