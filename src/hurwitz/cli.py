@@ -32,10 +32,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-degree", type=int, default=12,
-                     help="largest degree the search will attempt (default 12)")
-    sub.add_argument("--max-nodes", type=int, default=100_000_000,
-                     help="backtrack-node budget for one search (default 1e8)")
+    default = SearchBudget()
+    sub.add_argument("--max-degree", type=int, default=default.max_degree,
+                     help="largest degree the search will attempt (default %(default)s)")
+    sub.add_argument("--max-nodes", type=int, default=default.max_nodes,
+                     help="backtrack-node budget for one search (default %(default)s)")
 
 
 def _budget(args) -> SearchBudget:

@@ -21,8 +21,9 @@ The filters are one-sided: they only ever flag a datum as exceptional.
   cor2.parts    the same under thm2, at t = the third's gcd
   cor3.parts    the same under thm3
 
-Balance leaves no other gcd >= 2 under a pair divisor s >= 4, and none >= 3
-under s = 3, so Proposition 1's rules for those cases have nothing to reject.
+Both prop1 cases are a third the table's theorem takes with no whole child
+degree.  Balance leaves no other gcd >= 2 under a pair divisor s >= 4, and
+none >= 3 under s = 3, so Proposition 1 has no other case.
 Nor can another partition have fewer parts than its pieces: the lengths sum
 to (n-2)d + 2, the pair has at most 2d/s parts, a t-divisible third at most
 d/t, and every partition at most d - 1, so each other partition has at least
@@ -157,31 +158,33 @@ def detect_structures(datum: CandidateDatum) -> tuple[StructureMatch, ...]:
     return tuple(out)
 
 
+# Proposition 1's cases: the theorem that would take a partition as its
+# third, and the rule and detail reported when its child degree is not whole
+_PROP1 = {
+    "thm2": ("prop1.case3", "gcd {g} of partition {m} does not divide d'={dp}"),
+    "thm3": ("prop1.case2", "pair divisor 3 with even partition {m} needs 4 | d', but d'={dp}"),
+}
+
+
 def prop1_filter(matches: tuple[StructureMatch, ...]) -> list[FilterReport]:
-    """Divisibility constraints tying the pair divisor s to the other gcds."""
+    """Each partition outside the pair that the pair's theorem would take as
+    its third (thm2 at t = its gcd, thm3) must leave a whole child degree."""
     reports = []
     for match in matches:
         s = match.divisor
-        dp = match.subdegree
-        # nothing to check for s >= 4, nor for a gcd g >= 3 under s = 3: the
-        # pair's lengths (<= 2d/s) and that partition's (<= d/g) sum to <= d and
-        # each other length is <= d - 1, short of the (n-2)d + 2 balance needs
-        if s > 3:
-            continue
-        for m, g in match.other_gcds:
-            if g < 2:
+        admitted = {r[:3] for r in match.reductions}
+        for theorem, (rule, detail) in _PROP1.items():
+            fixed_s, fixed_t, _ = _ARITY[theorem]
+            if fixed_s != s:
                 continue
-            if s == 3:
-                if dp % 4:
+            for m, g in match.other_gcds:
+                t = g if fixed_t == _ANY else fixed_t
+                if g < 2 or g % _shape(theorem, s, t)[ROLE_THIRD][0]:
+                    continue  # not a third this theorem takes
+                if (theorem, m, t) not in admitted:
                     reports.append(FilterReport(
-                        "prop1.case2",
-                        f"pair divisor 3 with even partition {m} needs 4 | d', but d'={dp}",
-                        match.pair, s, dp, third_divisor=g, index=m))
-            elif dp % g:
-                reports.append(FilterReport(
-                    "prop1.case3",
-                    f"gcd {g} of partition {m} does not divide d'={dp}",
-                    match.pair, s, dp, third_divisor=g, index=m))
+                        rule, detail.format(g=g, m=m, dp=match.subdegree),
+                        match.pair, s, match.subdegree, third_divisor=g, index=m))
     return reports
 
 

@@ -110,8 +110,6 @@ class DecisionEngine:
 
         verdict = self._try_reductions(datum, matches)
         if verdict is None:
-            if datum.degree > self.budget.max_degree:
-                return Verdict(UNKNOWN, "oracle", limit=LIMIT_DEGREE)
             verdict = oracle_mod.decide(datum, self.budget)
             self._nodes += verdict.stats.nodes
         if shape is not None:

@@ -23,17 +23,18 @@ here is complete:
     product entry B^-1(y) -> A(z).  A branch dies when an entry closes a
     product cycle whose length the forced type has no unused part for, or
     leaves an open chain of product entries longer than every unused part,
-  * a union-find orbit bound is exact at every assigned image: each image
-    is united with its preimage as it is placed, and a branch dies when the
-    merges still possible cannot join the orbits into one.  Those are the
-    edges left in the cycle being built, the rest of its factor, the later
-    factors, and the forced factor's d - len(type) merges less one for each
-    product entry already known to join two open chains.  In the last
-    enumerated factor only the forced factor's merges count: a step that
-    joins two orbits cannot close a product cycle, since the chain it
-    extends starts in the orbit of its preimage, so it also joins two
-    chains, and orbits - merges left never falls there.  A complete tuple
-    is therefore transitive, and the leaf only assembles the witness,
+  * each image of an enumerated factor is united with its preimage in a
+    union-find as it is placed.  In the last enumerated factor an orbit
+    bound, exact at every assigned image, kills a branch when the forced
+    factor's merges left (d - len(type), less one per product entry known
+    to join two open chains) cannot join the orbits into one.  A step there
+    that joins two orbits cannot close a product cycle (the chain it
+    extends starts in its preimage's orbit), so it joins two chains too,
+    and orbits - merges left never falls.  So a complete tuple is
+    transitive, and the leaf only assembles the witness.  The earlier
+    factors are not bounded: by balance the bound starts d - 1 merges to
+    spare, an edge spends one only when it merges nothing, and with four
+    factors the one before the last has at most d - 1 edges,
   * with four or more factors, the last enumerated factor M is solved once
     per subproblem: with X the product of the other enumerated and the
     pinned factors in cyclic order from just after M, A o M o B is
@@ -68,6 +69,7 @@ from .perms import (
     class_size,
     cycle_string,
     cycle_type,
+    cycles,
     identity,
     inverse,
     is_perm,
@@ -151,19 +153,11 @@ def _subproblem_key(x: Perm, parent: list[int]) -> tuple:
     each, the cycles of ``x`` to cycles of the same length.
     """
     blocks: dict[int, list[int]] = {}
-    seen = [False] * len(x)
-    for start in range(len(x)):
-        if seen[start]:
-            continue
-        length = 0
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            length += 1
-            p = x[p]
+    for cyc in cycles(x):
+        p = cyc[0]
         while parent[p] != p:
             p = parent[p]
-        blocks.setdefault(p, []).append(length)
+        blocks.setdefault(p, []).append(len(cyc))
     return tuple(sorted(tuple(sorted(lengths)) for lengths in blocks.values()))
 
 
@@ -201,16 +195,10 @@ class _TupleSearch:
         # union-find over points without path compression, seeded with the
         # pinned factor's cycles: each point hangs below its cycle's base
         self.parent = [self.cycle_base[c] for c in self.cycle_of]
-        self.weight = [1] * d
-        for base, length in zip(self.cycle_base, pinned):
-            self.weight[base] = length
         self.orbits = len(pinned)
 
-        # merge capacity of the middles scheduled after middle mi, and the
-        # merges the forced factor can still make: d - len(forced type) at
-        # first, one less for each product entry that joins two open chains
-        caps = [d - len(self.types[p]) for p in self.middles]
-        self.later_cap = [sum(caps[mi + 1:]) for mi in range(len(caps))]
+        # the merges the forced factor can still make: d - len(forced type)
+        # at first, one less for each product entry that joins two open chains
         self.forced_left = d - len(forced_type)
 
         # the product R o L whose inverse is the forced factor composes the
@@ -244,19 +232,14 @@ class _TupleSearch:
         when M is the only middle and there is nothing to skip."""
         seq = self.around
         t = seq.index(self.middles[-1])
-        a_map = self.a_map = self._compose(seq[:t])
-        b_map = self._compose(seq[t + 1:])
+        images = self.images
+        a_map = self.a_map = product([images[p] for p in seq[:t]], self.degree)
+        b_map = product([images[p] for p in seq[t + 1:]], self.degree)
         self.b_inv = inverse(b_map)
         self.tracking = True
         if len(self.middles) == 1:
             return None
         return _subproblem_key([b_map[y] for y in a_map], self.parent)
-
-    def _compose(self, positions: list[int]) -> Perm:
-        acc = list(range(self.degree))
-        for pos in positions:
-            acc = [acc[y] for y in self.images[pos]]
-        return tuple(acc)
 
     def _longest_unused(self) -> int:
         for length in self.lengths:
@@ -286,15 +269,14 @@ class _TupleSearch:
         img = [-1] * self.degree
         used = [False] * self.degree
         self.images[pos] = img
-        cap = self.degree - len(self.types[pos])
-        found = self._place_cycle(mi, img, used, counts, lengths, cap, 0)
+        found = self._place_cycle(mi, img, used, counts, lengths, 0)
         if found is None and key is not None:
             self.dead.add(key)
         self.tracking = False
         self.images[pos] = None
         return found
 
-    def _place_cycle(self, mi, img, used, counts, lengths, cap, scan_from) -> ConstellationWitness | None:
+    def _place_cycle(self, mi, img, used, counts, lengths, scan_from) -> ConstellationWitness | None:
         leader = scan_from
         degree = self.degree
         while leader < degree and used[leader]:
@@ -309,8 +291,7 @@ class _TupleSearch:
             if not left:
                 continue
             counts[length] = left - 1
-            found = self._extend_cycle(mi, img, used, counts, lengths, cap - (length - 1),
-                                       leader, leader, length - 1)
+            found = self._extend_cycle(mi, img, used, counts, lengths, leader, leader, length - 1)
             if found is not None:
                 return found
             counts[length] = left
@@ -319,30 +300,25 @@ class _TupleSearch:
             self.touched[self.cycle_of[leader]] -= 1
         return None
 
-    def _extend_cycle(self, mi, img, used, counts, lengths, cap_after, leader, tip, left) -> ConstellationWitness | None:
+    def _extend_cycle(self, mi, img, used, counts, lengths, leader, tip, left) -> ConstellationWitness | None:
         """Try every image of ``tip``: an unused point while ``left`` points of
         the cycle are still to come, else the leader, which closes the cycle
         (a fixed point is closed at once).
 
-        Each image is one step.  In the last middle it links the product entry
-        B^-1(tip) -> A(image) and prunes on the forced type; an entry that
-        joins two open chains spends one of the forced factor's merges.  It
-        unites tip with its image, and it prunes unless the merges still
-        possible can join the orbits into one: the ``left - 1`` edges of this
-        cycle that can still merge, the rest of this middle (``cap_after``),
-        the later middles and the forced factor's ``forced_left``; in the
-        last middle, ``forced_left`` alone.  Every state it changes is
-        restored before the next image.
+        Each image is one step, and it unites tip with its image.  In the
+        last middle it also links the product entry B^-1(tip) -> A(image) and
+        prunes on the forced type; an entry that joins two open chains spends
+        one of the forced factor's merges, and the step is pruned unless the
+        merges left, ``forced_left``, can still join the orbits into one.
+        Every state it changes is restored before the next image.
         """
-        # merges still possible beyond those the orbits need; a step's own
-        # union adds one, a step's join spends one, and it must stay >= 0.
-        # In the last middle a union always joins two chains too, so only
-        # the forced factor's merges count there
-        surplus = self.forced_left - self.orbits + 1
         tracking = self.tracking
-        if not tracking:
-            surplus += max(left - 1, 0) + cap_after + self.later_cap[mi]
-        else:
+        surplus = 0
+        if tracking:
+            # forced merges left beyond those the orbits need: a step's own
+            # union adds one, its join spends one, and it must stay >= 0.  A
+            # union always joins two chains too, so no other merge counts
+            surplus = self.forced_left - self.orbits + 1
             # all of tip's product entry but its image is known at this level
             ends = self.chain_end
             lens = self.chain_len
@@ -355,7 +331,6 @@ class _TupleSearch:
         if left:
             candidates = range(self.degree)
             parent = self.parent
-            weight = self.weight
             root = tip
             while parent[root] != root:
                 root = parent[root]
@@ -413,11 +388,7 @@ class _TupleSearch:
                 while parent[b] != b:
                     b = parent[b]
                 if b != root:
-                    a = root
-                    if weight[a] < weight[b]:
-                        a, b = b, a
-                    parent[b] = a
-                    weight[a] += weight[b]
+                    parent[b] = root
                     self.orbits -= 1
                     merged = True
             if surplus + merged >= spent:
@@ -427,21 +398,18 @@ class _TupleSearch:
                     used[nxt] = True
                     if first:
                         touched[c] += 1
-                    found = self._extend_cycle(mi, img, used, counts, lengths, cap_after,
-                                               leader, nxt, left - 1)
+                    found = self._extend_cycle(mi, img, used, counts, lengths, leader, nxt, left - 1)
                     used[nxt] = False
                     if first:
                         touched[c] -= 1
                 else:
-                    found = self._place_cycle(mi, img, used, counts, lengths, cap_after,
-                                              leader + 1)
+                    found = self._place_cycle(mi, img, used, counts, lengths, leader + 1)
                 if found is not None:
                     return found
                 self.forced_left += spent
                 img[tip] = -1
             if merged:
                 parent[b] = b
-                weight[a] -= weight[b]
                 self.orbits += 1
             if tracking:
                 if spent:
@@ -459,7 +427,8 @@ class _TupleSearch:
         # forced type, and the orbit bound held at the last assignment with
         # no merge left, so the tuple is transitive
         perms = list(self.images)
-        perms[self.forced_pos] = inverse(self._compose(self.around))
+        forced_inverse = product([perms[p] for p in self.around], self.degree)
+        perms[self.forced_pos] = inverse(forced_inverse)
         return ConstellationWitness(self.degree, tuple(tuple(p) for p in perms))
 
 

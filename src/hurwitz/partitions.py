@@ -206,19 +206,6 @@ def parse_datum(text: str) -> CandidateDatum:
     return CandidateDatum.make(degree, (parts for _, parts in collected))
 
 
-@dataclass(frozen=True, slots=True)
-class Decomposition:
-    """An unordered split of ``source`` into sub-partitions of equal sums."""
-
-    source: Partition
-    groups: tuple[Partition, ...]
-
-    def __post_init__(self) -> None:
-        joined = sorted(p for g in self.groups for p in g.parts)
-        if joined != sorted(self.source.parts):
-            raise ValueError("groups do not reassemble the source partition")
-
-
 def merged(partitions: Iterable[Partition]) -> Partition:
     """Multiset union of several partitions."""
     parts: list[int] = []
@@ -227,11 +214,12 @@ def merged(partitions: Iterable[Partition]) -> Partition:
     return Partition.of(parts)
 
 
-def decompose(partition: Partition, count: int, total: int) -> tuple[Decomposition, ...]:
+def decompose(partition: Partition, count: int, total: int) -> tuple[tuple[Partition, ...], ...]:
     """All distinct unordered splits of ``partition`` into ``count`` groups summing to ``total``.
 
-    Groups may be trivial (all ones).  Returns the empty tuple when no split
-    exists, e.g. when some part exceeds ``total``.  Two symmetry rules prune
+    Each split is a tuple of groups in sort-key order.  Groups may be
+    trivial (all ones).  Returns the empty tuple when no split exists, e.g.
+    when some part exceeds ``total``.  Two symmetry rules prune
     the search (a part never goes into a group whose current content and
     remaining capacity duplicate an earlier group's, and a run of equal
     parts is placed with non-decreasing group indices); label swaps that
@@ -246,7 +234,7 @@ def decompose(partition: Partition, count: int, total: int) -> tuple[Decompositi
     parts = partition.parts
     contents: list[list[int]] = [[] for _ in range(count)]
     remaining = [total] * count
-    found: list[Decomposition] = []
+    found: list[tuple[Partition, ...]] = []
     emitted: set[tuple[tuple[int, ...], ...]] = set()
 
     def place(idx: int, min_group: int) -> None:
@@ -258,7 +246,7 @@ def decompose(partition: Partition, count: int, total: int) -> tuple[Decompositi
             if key in emitted:
                 return
             emitted.add(key)
-            found.append(Decomposition(partition, groups))
+            found.append(groups)
             return
         part = parts[idx]
         same_next = idx + 1 < len(parts) and parts[idx + 1] == part

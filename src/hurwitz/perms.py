@@ -34,11 +34,11 @@ def inverse(p: Perm) -> Perm:
 
 
 def product(perms: Iterable[Perm], degree: int) -> Perm:
-    """Compose left to right: the first permutation is applied last."""
-    acc = identity(degree)
+    """Compose left to right, the first applied last; degrees are not checked."""
+    acc = list(range(degree))
     for p in perms:
-        acc = compose(acc, p)
-    return acc
+        acc = [acc[y] for y in p]
+    return tuple(acc)
 
 
 def cycles(p: Perm) -> list[tuple[int, ...]]:

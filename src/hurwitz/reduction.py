@@ -172,7 +172,7 @@ def _children(
     for m, role in slots:
         scale, count = shape[role]
         source = ps[m].divided(scale) if scale > 1 else ps[m]
-        options = [(source,)] if count == 1 else [d.groups for d in decompose(source, count, u)]
+        options = [(source,)] if count == 1 else decompose(source, count, u)
         if not options:
             return
         option_lists.append(options)

@@ -237,7 +237,7 @@ def test_criterion_decompose_oracle_equivalence():
         total = sum(parts)
         count = rng.choice([m for m in (1, 2, 3, 4) if total % m == 0])
         source = Partition(parts)
-        mine = {tuple(g.parts for g in d.groups) for d in decompose(source, count, total // count)}
+        mine = {tuple(g.parts for g in groups) for groups in decompose(source, count, total // count)}
         if mine != naive_splits(parts, count, total // count):
             mismatches += 1
     _criterion("decompose-oracle-equivalence", mismatches == 0, "1000 random multisets")

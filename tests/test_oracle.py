@@ -195,9 +195,10 @@ def test_pruning_keeps_first_witness():
 
 
 def test_later_middles_keep_first_witness():
-    # with three enumerated factors, the bound in the first two must count
-    # the merges of the middles still to come: a bound that leaves them out
-    # skips this witness, the first in the search order, and finds a later one
+    # with three enumerated factors, the orbit bound prunes only the last:
+    # the first two may leave orbits for the later middles to join.  A bound
+    # there that left out the merges of the middles still to come would skip
+    # this witness, the first in the search order, and find a later one
     datum = D("6: [3,3] [3,1,1,1] [3,1,1,1] [2,1,1,1,1] [2,1,1,1,1]")
     perms = (
         (2, 4, 3, 0, 5, 1),
@@ -210,9 +211,9 @@ def test_later_middles_keep_first_witness():
 
 
 def test_every_leaf_is_a_witness(monkeypatch):
-    # the orbit bound is exact at every assignment, so the search reaches a
-    # complete tuple only when it is transitive: one leaf per realizable
-    # datum, none per exceptional one
+    # the orbit bound is exact at every assignment of the last enumerated
+    # factor, so the search reaches a complete tuple only when it is
+    # transitive: one leaf per realizable datum, none per exceptional one
     leaf = _TupleSearch._leaf
     calls = []
 
@@ -232,9 +233,11 @@ def test_every_leaf_is_a_witness(monkeypatch):
 def test_orbit_bound_node_count():
     # uniting a middle edge only when its cycle closes, not spending a
     # forced merge on each product entry that joins two chains, or crediting
-    # the last middle's own edges raises this count
-    nodes = sum(decide(datum).stats.nodes for datum in enumerate_candidates(7, 4))
-    assert nodes == 20_833
+    # the last middle's own edges raises the n = 4 count.  The n = 5 count
+    # pins a search with two enumerated factors before the last
+    for degree, n, total in ((7, 4, 20_833), (7, 5, 64_589)):
+        nodes = sum(decide(datum).stats.nodes for datum in enumerate_candidates(degree, n))
+        assert nodes == total, n
 
 
 def test_chain_prune_reads_the_longest_unused_part():
@@ -301,9 +304,9 @@ def test_last_middle_bound_counts_only_forced_merges(monkeypatch):
     extend = _TupleSearch._extend_cycle
     reached = []
 
-    def recorded(self, mi, img, used, counts, lengths, cap_after, leader, tip, left):
+    def recorded(self, mi, img, used, counts, lengths, leader, tip, left):
         reached.append((tuple(img), tip, left, self.orbits, self.forced_left))
-        return extend(self, mi, img, used, counts, lengths, cap_after, leader, tip, left)
+        return extend(self, mi, img, used, counts, lengths, leader, tip, left)
 
     monkeypatch.setattr(_TupleSearch, "_extend_cycle", recorded)
     assert search.run() == ConstellationWitness(5, (

@@ -112,10 +112,10 @@ def test_divided():
 
 
 def test_decompose_examples():
-    assert [d.groups for d in decompose(P(3, 3), 2, 3)] == [(P(3), P(3))]
+    assert decompose(P(3, 3), 2, 3) == ((P(3), P(3)),)
     assert decompose(P(3, 1), 2, 2) == ()
-    assert [d.groups for d in decompose(P(4, 2, 1, 1), 2, 4)] == [(P(4), P(2, 1, 1))]
-    assert [d.groups for d in decompose(P(2, 2, 1, 1), 2, 3)] == [(P(2, 1), P(2, 1))]
+    assert decompose(P(4, 2, 1, 1), 2, 4) == ((P(4), P(2, 1, 1)),)
+    assert decompose(P(2, 2, 1, 1), 2, 3) == ((P(2, 1), P(2, 1)),)
 
 
 def test_decompose_rejects_bad_shape():
@@ -125,10 +125,10 @@ def test_decompose_rejects_bad_shape():
 
 def test_decompose_soundness_and_length_conservation():
     source = P(4, 3, 2, 2, 1)
-    for dec in decompose(source, 3, 4):
-        assert merged(dec.groups) == source
-        assert all(g.total == 4 for g in dec.groups)
-        assert sum(len(g) for g in dec.groups) == len(source)
+    for groups in decompose(source, 3, 4):
+        assert merged(groups) == source
+        assert all(g.total == 4 for g in groups)
+        assert sum(len(g) for g in groups) == len(source)
 
 
 def test_decompose_matches_naive_oracle_random():
@@ -139,7 +139,7 @@ def test_decompose_matches_naive_oracle_random():
         total = sum(parts)
         count = rng.choice([m for m in (1, 2, 3, 4) if total % m == 0])
         source = Partition(parts)
-        got = {tuple(g.parts for g in d.groups) for d in decompose(source, count, total // count)}
+        got = {tuple(g.parts for g in groups) for groups in decompose(source, count, total // count)}
         assert len(got) == len(decompose(source, count, total // count))  # no duplicates
         assert got == naive_splits(parts, count, total // count)
 

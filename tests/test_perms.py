@@ -14,6 +14,7 @@ from hurwitz.perms import (
     identity,
     inverse,
     is_transitive,
+    product,
     relabel,
 )
 from oracles import class_elements
@@ -39,6 +40,7 @@ def test_compose_convention():
     assert compose(p, q) == from_cycles(4, [(0, 3)])
     assert compose(p, identity(4)) == p
     assert compose(p, inverse(p)) == identity(4)
+    assert product([p, q], 4) == compose(p, q)
 
 
 def test_compose_degree_mismatch():
