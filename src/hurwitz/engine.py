@@ -15,8 +15,11 @@ The engine decides a datum by the cheapest sufficient means, in order:
      parent; if one structure's children enumerate completely and all are
      exceptional, so is the parent (``reduction:<thm>``).  Unknown children
      only poison the exceptional conclusion;
-  6. the exhaustive search settles whatever remains within budget
-     (``oracle``), else the verdict is unknown with a stated limit.
+  6. up to degree ``max_degree``, seeded random tuples are drawn first and
+     a witness among them decides realizable (``sample``); a miss proves
+     nothing, and the exhaustive search settles whatever remains within
+     budget (``oracle``), else the verdict is unknown with a stated limit.
+     Each draw is charged as one node of the budget.
 
 Every engine memoizes its verdicts on the normalized datum.
 """
@@ -110,8 +113,7 @@ class DecisionEngine:
 
         verdict = self._try_reductions(datum, matches)
         if verdict is None:
-            verdict = oracle_mod.decide(datum, self.budget)
-            self._nodes += verdict.stats.nodes
+            verdict = self._sample_then_search(datum)
         if shape is not None:
             # the closed form said realizable; the certificate comes from above
             if verdict.status == EXCEPTIONAL:
@@ -120,6 +122,25 @@ class DecisionEngine:
                 )
             if verdict.status == REALIZABLE:
                 return replace(verdict, method="songxu")
+        return verdict
+
+    def _sample_then_search(self, datum: CandidateDatum) -> Verdict:
+        """Seeded random draws, then on a miss the search with the nodes left.
+
+        Each draw is charged as one node.  Draws are made only where the
+        search would run, so the degree limit stays the search's.
+        """
+        budget = self.budget
+        if datum.degree <= budget.max_degree:
+            witness, draws = oracle_mod.sample(datum, min(oracle_mod.SAMPLE_DRAWS, budget.max_nodes))
+            self._nodes += draws
+            if witness is not None:
+                return Verdict(REALIZABLE, "sample", certificate=witness)
+            if draws == budget.max_nodes:
+                return Verdict(UNKNOWN, "sample", limit=LIMIT_BUDGET)
+            budget = replace(budget, max_nodes=budget.max_nodes - draws)
+        verdict = oracle_mod.decide(datum, budget)
+        self._nodes += verdict.stats.nodes
         return verdict
 
     def _try_reductions(
@@ -249,6 +270,7 @@ class ScanReport:
     rows: list[dict] = field(default_factory=list)
     disagreements: list[str] = field(default_factory=list)
     counts: dict[tuple[int, int], dict[str, int]] = field(default_factory=dict)
+    methods: dict[tuple[int, int], dict[str, int]] = field(default_factory=dict)
     audit: list[str] = field(default_factory=list)
 
     def summary_lines(self) -> list[str]:
@@ -256,9 +278,11 @@ class ScanReport:
         for (d, n) in sorted(self.counts):
             cell = self.counts[(d, n)]
             total = sum(cell.values())
+            methods = self.methods[(d, n)]
             lines.append(
                 f"d={d} n={n}: total={total} realizable={cell.get(REALIZABLE, 0)}"
                 f" exceptional={cell.get(EXCEPTIONAL, 0)} unknown={cell.get(UNKNOWN, 0)}"
+                " by method: " + " ".join(f"{m}={methods[m]}" for m in sorted(methods))
             )
         lines.append(f"disagreements: {len(self.disagreements)}")
         for text in self.disagreements:
@@ -307,6 +331,7 @@ def _scan_one(task: tuple[str, SearchBudget, str]) -> tuple[dict, dict]:
     meta = {
         "input": text,
         "status": resolved[0] if resolved else UNKNOWN,
+        "method": primary.method,
         "disagree": len(set(resolved)) > 1,
         # a filter false positive is already a disagreement in ``both`` mode
         "audit": (
@@ -330,8 +355,9 @@ def scan(
     In ``both`` mode each candidate is decided twice, by the full pipeline
     and by the search alone, and any realizable/exceptional conflict is
     reported (there must be none).  The report also carries per-(d, n)
-    status counts and the strict-mode audit set: data the strict corollary
-    bounds would reject even though they are realizable.
+    counts by status and by method (the pipeline's, or the search's in
+    ``oracle-only`` mode) and the strict-mode audit set: data the strict
+    corollary bounds would reject even though they are realizable.
     """
     if mode not in ("both", "oracle-only", "pipeline-only"):
         raise ValueError(f"unknown scan mode {mode!r}")
@@ -357,6 +383,8 @@ def scan(
         report.rows.append(row)
         cell = report.counts.setdefault((d, n), {})
         cell[meta["status"]] = cell.get(meta["status"], 0) + 1
+        methods = report.methods.setdefault((d, n), {})
+        methods[meta["method"]] = methods.get(meta["method"], 0) + 1
         if meta["disagree"]:
             report.disagreements.append(meta["input"])
         if meta["audit"]:

@@ -31,7 +31,8 @@ class Verdict:
     """Outcome of a decision with enough context to re-verify it.
 
     ``method`` is one of ``rh``, ``base-case``, ``filter:<rule>``,
-    ``reduction:<thm>``, ``oracle``, or ``songxu``.  Realizable verdicts from
+    ``reduction:<thm>``, ``sample`` (a witness from seeded random draws),
+    ``oracle`` (the search), or ``songxu``.  Realizable verdicts from
     the decision engine always carry a certificate; unknown verdicts state
     their limit (``degree-limit`` or ``budget``).
     """

@@ -30,7 +30,7 @@ def test_check_json_fields(capsys):
     assert main(["check", "8: [5,3] [2,2,2,2] [3,2,2,1]", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "realizable"
-    assert payload["method"] == "oracle"
+    assert payload["method"] == "sample"
     assert payload["degree"] == 8
     assert payload["partitions"] == [[5, 3], [2, 2, 2, 2], [3, 2, 2, 1]]
     assert payload["certificate"]["type"] == "witness"
@@ -55,7 +55,7 @@ def test_scan_writes_jsonl(tmp_path, capsys):
     assert len(rows) == 10  # one n=2 row per degree, one at (3,3), six at (4,3)
     assert all("oracle_status" in row for row in rows)
     summary = capsys.readouterr().out
-    assert "d=4 n=3: total=6" in summary
+    assert "d=4 n=3: total=6 realizable=5 exceptional=1 unknown=0 by method:" in summary
     assert "disagreements: 0" in summary
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 import hurwitz.engine as engine_mod
+import hurwitz.oracle as oracle_mod
 from hurwitz.criteria import detect_structures
 from hurwitz.engine import DecisionEngine, decide, scan, verify
 from hurwitz.oracle import ConstellationWitness, SearchBudget
@@ -228,11 +229,53 @@ def test_engine_budget_monotone():
     assert resolved == EXCEPTIONAL
 
 
+def test_sampled_witness_repeats_across_engines():
+    datum = D("8: [5,3] [2,2,2,2] [3,2,2,1]")
+    first = DecisionEngine().decide(datum)
+    second = DecisionEngine().decide(datum.render())
+    assert first.method == second.method == "sample"
+    assert first.certificate == second.certificate
+    assert first.stats.nodes == second.stats.nodes == 4  # one node per draw
+    assert verify(first, datum)
+
+
+def test_no_draws_gives_the_search_verdict(monkeypatch):
+    monkeypatch.setattr(oracle_mod, "SAMPLE_DRAWS", 0)
+    searched = 0
+    for n, top in ((3, 8), (4, 7)):
+        for degree in range(3, top + 1):
+            for datum in enumerate_candidates(degree, n):
+                verdict = DecisionEngine().decide(datum)
+                assert verdict.method != "sample"
+                if verdict.method == "oracle":
+                    searched += 1
+                    alone = oracle_decide(datum)
+                    assert (verdict.status, verdict.certificate, verdict.stats.nodes) == (
+                        alone.status, alone.certificate, alone.stats.nodes), datum.render()
+    assert searched > 400
+
+
+def test_draws_are_charged_to_the_node_budget():
+    # the sampler misses this realizable datum in every draw, and the search
+    # alone needs 2,451 nodes for it
+    datum = D("10: [7,1,1,1] [7,1,1,1] [7,1,1,1]")
+    draws = oracle_mod.SAMPLE_DRAWS
+    assert oracle_mod.sample(datum, draws) == (None, draws)
+    for max_nodes in (1, draws - 1, draws, draws + 1, draws + 2_450):
+        verdict = DecisionEngine(SearchBudget(max_nodes=max_nodes)).decide(datum)
+        assert (verdict.status, verdict.limit) == (UNKNOWN, "budget"), max_nodes
+    verdict = DecisionEngine(SearchBudget(max_nodes=draws + 2_451)).decide(datum)
+    assert (verdict.status, verdict.method) == (REALIZABLE, "oracle")
+    assert verdict.stats.nodes == draws + 2_451
+
+
 def test_scan_small_range():
     report = scan(6, 3)
     assert report.disagreements == []
     cell = report.counts[(4, 3)]
     assert sum(cell.values()) == 6 and cell[EXCEPTIONAL] == 1
+    assert report.methods[(4, 3)] == {
+        "filter:cor1.parts": 1, "reduction:thm1": 1, "reduction:thm2": 1, "sample": 3}
     assert "4: [2,2] [2,2] [2,2]" in report.audit
 
 

@@ -394,6 +394,38 @@ def test_dead_subproblem_skip_node_count(monkeypatch):
     assert plain.certificate == verdict.certificate
 
 
+def test_sampler_hits_only_realizable_data_with_valid_witnesses():
+    # the search decides each status; the sampler must never return a
+    # witness for exceptional data, and every witness it returns must verify
+    hits = misses = exceptional = 0
+    for n, top in ((3, 10), (4, 8)):
+        for degree in range(3, top + 1):
+            for datum in enumerate_candidates(degree, n):
+                witness, draws = oracle_mod.sample(datum, oracle_mod.SAMPLE_DRAWS)
+                if decide(datum).status == EXCEPTIONAL:
+                    exceptional += 1
+                    assert witness is None and draws == oracle_mod.SAMPLE_DRAWS, datum.render()
+                elif witness is None:
+                    misses += 1
+                else:
+                    hits += 1
+                    assert 1 <= draws <= oracle_mod.SAMPLE_DRAWS
+                    assert check_witness(datum, witness), datum.render()
+    assert (exceptional, hits, misses) == (68, 3376, 27)
+
+
+def test_sampled_witness_literal():
+    # seeded from the datum's text, so fixed across runs, processes and
+    # hash seeds: the fourth draw hits
+    witness, draws = oracle_mod.sample(D("8: [5,3] [2,2,2,2] [3,2,2,1]"), oracle_mod.SAMPLE_DRAWS)
+    assert draws == 4
+    assert witness.perms == (
+        (1, 7, 5, 6, 3, 0, 4, 2),
+        (1, 0, 3, 2, 5, 4, 7, 6),
+        (4, 1, 6, 5, 7, 3, 2, 0),
+    )
+
+
 SMALL_DATA = [
     datum for degree in range(3, 9) for n in (3, 4) for datum in enumerate_candidates(degree, n)
 ]
