@@ -83,13 +83,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    mode = "both"
-    if args.oracle_only:
-        mode = "oracle-only"
-    elif args.pipeline_only:
-        mode = "pipeline-only"
-    report = scan(args.degree_max, args.branch_points_max, _budget(args), mode=mode,
-                  jobs=args.jobs)
+    report = scan(args.degree_max, args.branch_points_max, _budget(args), jobs=args.jobs)
     lines = [_dump(row) for row in report.rows]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -168,11 +162,9 @@ def build_parser() -> _Parser:
     scan_cmd = sub.add_parser("scan", help="adjudicate every candidate in a range")
     scan_cmd.add_argument("--degree-max", type=int, required=True)
     scan_cmd.add_argument("--branch-points-max", type=int, required=True)
-    group = scan_cmd.add_mutually_exclusive_group()
-    group.add_argument("--oracle-only", action="store_true")
-    group.add_argument("--pipeline-only", action="store_true")
     scan_cmd.add_argument("--out", help="write JSONL rows to this file")
-    scan_cmd.add_argument("--jobs", type=int, default=1)
+    scan_cmd.add_argument("--jobs", type=int, default=1,
+                          help="worker processes, at least 1 (default %(default)s)")
     _add_budget_flags(scan_cmd)
     scan_cmd.set_defaults(func=cmd_scan)
 

@@ -3,8 +3,8 @@
 The engine decides a datum by the cheapest sufficient means, in order:
 
   1. unbalanced data are exceptional outright (method ``rh``);
-  2. degree 1 and the two-partition datum [d] [d], the only balanced data
-     with fewer than three partitions, are realizable directly
+  2. the balanced data with fewer than three partitions, degree 1 and
+     [d] [d], are realizable directly by their two-point witness
      (``base-case``);
   3. the datum's structures are detected once; the necessary-condition
      filters reject structured data violating a bound (``filter:<rule>``);
@@ -96,10 +96,7 @@ class DecisionEngine:
     def _pipeline(self, datum: CandidateDatum) -> Verdict:
         if rh_defect(datum) != 0:
             return Verdict(EXCEPTIONAL, "rh")
-        if datum.degree == 1:
-            return Verdict(REALIZABLE, "base-case", certificate=ReductionChain((), None))
-        if len(datum.partitions) == 2:
-            # balance forces [d] [d]: a cycle and its inverse
+        if len(datum.partitions) < 3:
             return Verdict(REALIZABLE, "base-case", certificate=oracle_mod.two_point_witness(datum))
 
         matches = detect_structures(datum)
@@ -211,8 +208,9 @@ def verify(verdict: Verdict, datum: CandidateDatum) -> bool:
     only structural consistency is checked.
     A malformed certificate is rejected: a witness of the wrong lengths or
     with images that are not a permutation of integers, or a chain whose
-    steps or base are of the wrong type.  An exception raised while checking
-    propagates, so a crash in a checker is never reported as "invalid".
+    steps, step fields or base are of the wrong type.  An exception raised
+    while checking propagates, so a crash in a checker is never reported as
+    "invalid".
     """
     if verdict.status == REALIZABLE:
         cert = verdict.certificate
@@ -244,7 +242,7 @@ def verify(verdict: Verdict, datum: CandidateDatum) -> bool:
 def _verify_chain(datum: CandidateDatum, chain: ReductionChain) -> bool:
     if not isinstance(chain.steps, tuple) or not all(isinstance(s, ReductionStep) for s in chain.steps):
         return False
-    if chain.base is not None and not isinstance(chain.base, ConstellationWitness):
+    if not isinstance(chain.base, ConstellationWitness):
         return False
     current = datum
     for step in chain.steps:
@@ -255,8 +253,6 @@ def _verify_chain(datum: CandidateDatum, chain: ReductionChain) -> bool:
         if parent != current:
             return False
         current = step.child
-    if chain.base is None:
-        return current.degree == 1 and not current.partitions
     return check_witness(current, chain.base)
 
 
@@ -304,39 +300,27 @@ def _strict_audit(datum: CandidateDatum, matches: tuple[StructureMatch, ...]) ->
     )
 
 
-def _scan_one(task: tuple[str, SearchBudget, str]) -> tuple[dict, dict]:
-    """Decide one candidate; returns (jsonl row, report metadata).
+def _scan_one(task: tuple[str, SearchBudget]) -> tuple[dict, dict]:
+    """Decide one candidate by the pipeline and by the search alone; returns
+    (jsonl row, the status, disagreement and audit the row lacks).
 
     Each candidate gets a fresh engine so row content is independent of
     scheduling, and the volatile ``millis`` stat is zeroed: deterministic
     scans must be byte-identical across runs.
     """
-    text, budget, mode = task
+    text, budget = task
     datum = parse_datum(text)
-    pipeline_verdict = None
-    oracle_verdict = None
-    if mode in ("both", "pipeline-only"):
-        pipeline_verdict = DecisionEngine(budget).decide(datum)
-    if mode in ("both", "oracle-only"):
-        oracle_verdict = oracle_mod.decide(datum, budget)
-
-    primary = pipeline_verdict if pipeline_verdict is not None else oracle_verdict
-    row = primary.to_json(datum, input_text=text)
+    verdict = DecisionEngine(budget).decide(datum)
+    oracle_verdict = oracle_mod.decide(datum, budget)
+    row = verdict.to_json(datum, input_text=text)
     row["stats"]["millis"] = 0
-    if mode == "both":
-        row["oracle_status"] = oracle_verdict.status
-
-    statuses = [v.status for v in (pipeline_verdict, oracle_verdict) if v is not None]
-    resolved = [s for s in statuses if s != UNKNOWN]
+    row["oracle_status"] = oracle_verdict.status
     meta = {
-        "input": text,
-        "status": resolved[0] if resolved else UNKNOWN,
-        "method": primary.method,
-        "disagree": len(set(resolved)) > 1,
-        # a filter false positive is already a disagreement in ``both`` mode
+        "status": oracle_verdict.status if verdict.status == UNKNOWN else verdict.status,
+        "disagree": {verdict.status, oracle_verdict.status} == {REALIZABLE, EXCEPTIONAL},
+        # a filter false positive is already a disagreement
         "audit": (
-            oracle_verdict is not None
-            and oracle_verdict.status == REALIZABLE
+            oracle_verdict.status == REALIZABLE
             and _strict_audit(datum, detect_structures(datum))
         ),
     }
@@ -347,30 +331,26 @@ def scan(
     degree_max: int,
     branch_points_max: int,
     budget: SearchBudget | None = None,
-    mode: str = "both",
     jobs: int = 1,
 ) -> ScanReport:
     """Adjudicate every candidate with d <= degree_max and n <= branch_points_max.
 
-    In ``both`` mode each candidate is decided twice, by the full pipeline
-    and by the search alone, and any realizable/exceptional conflict is
-    reported (there must be none).  The report also carries per-(d, n)
-    counts by status and by method (the pipeline's, or the search's in
-    ``oracle-only`` mode) and the strict-mode audit set: data the strict
-    corollary bounds would reject even though they are realizable.
+    Each candidate is decided twice, by the full pipeline and by the search
+    alone, and any realizable/exceptional conflict is reported (there must
+    be none).  The report also carries per-(d, n) counts by status and by
+    the pipeline's method, and the strict-mode audit set: data the strict
+    corollary bounds would reject even though they are realizable.  ``jobs``
+    worker processes share the candidates; it must be at least 1.
     """
-    if mode not in ("both", "oracle-only", "pipeline-only"):
-        raise ValueError(f"unknown scan mode {mode!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     budget = budget or SearchBudget()
     report = ScanReport()
 
-    tasks = []
-    keys = []
-    for d in range(2, degree_max + 1):
-        for n in range(1, branch_points_max + 1):
-            for datum in enumerate_candidates(d, n):
-                tasks.append((datum.render(), budget, mode))
-                keys.append((d, n))
+    tasks = [(datum.render(), budget)
+             for d in range(2, degree_max + 1)
+             for n in range(1, branch_points_max + 1)
+             for datum in enumerate_candidates(d, n)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -379,14 +359,15 @@ def scan(
     else:
         results = [_scan_one(task) for task in tasks]
 
-    for (d, n), (row, meta) in zip(keys, results):
+    for row, meta in results:
         report.rows.append(row)
-        cell = report.counts.setdefault((d, n), {})
+        key = (row["degree"], len(row["partitions"]))
+        cell = report.counts.setdefault(key, {})
         cell[meta["status"]] = cell.get(meta["status"], 0) + 1
-        methods = report.methods.setdefault((d, n), {})
-        methods[meta["method"]] = methods.get(meta["method"], 0) + 1
+        methods = report.methods.setdefault(key, {})
+        methods[row["method"]] = methods.get(row["method"], 0) + 1
         if meta["disagree"]:
-            report.disagreements.append(meta["input"])
+            report.disagreements.append(row["input"])
         if meta["audit"]:
-            report.audit.append(meta["input"])
+            report.audit.append(row["input"])
     return report

@@ -22,7 +22,8 @@ here is complete:
     product it inverts is A o M o B, so each image M(y) = z fixes one
     product entry B^-1(y) -> A(z).  A branch dies when an entry closes a
     product cycle whose length the forced type has no unused part for, or
-    leaves an open chain of product entries longer than every unused part,
+    leaves an open chain of product entries longer than the forced type's
+    longest part,
   * each image of an enumerated factor is united with its preimage in a
     union-find as it is placed.  In the last enumerated factor an orbit
     bound, exact at every assigned image, kills a branch when the forced
@@ -131,7 +132,8 @@ class ConstellationWitness:
         }
 
     def render(self) -> str:
-        return " | ".join(cycle_string(p) for p in self.perms)
+        # the degree-1 witness has no permutations; it renders as the identity
+        return " | ".join(cycle_string(p) for p in self.perms) or "()"
 
 
 def check_witness(datum: CandidateDatum, witness: ConstellationWitness) -> bool:
@@ -232,8 +234,7 @@ class _TupleSearch:
         self.unused = [0] * (d + 1)
         for c in forced_type:
             self.unused[c] += 1
-        self.lengths = sorted(set(forced_type), reverse=True)
-        self.longest = self.lengths[0]  # the longest part with unused[part] > 0
+        self.longest = forced_type[0]  # no open chain may grow past it
 
         # keys of the last middle's subproblems found to hold no witness
         self.dead: set[tuple] = set()
@@ -257,12 +258,6 @@ class _TupleSearch:
         if len(self.middles) == 1:
             return None
         return _subproblem_key([b_map[y] for y in a_map], self.parent)
-
-    def _longest_unused(self) -> int:
-        for length in self.lengths:
-            if self.unused[length]:
-                return length
-        return 0
 
     # -- search --
 
@@ -386,8 +381,6 @@ class _TupleSearch:
                     if not unused[len_u]:
                         continue
                     unused[len_u] -= 1
-                    if len_u == longest and not unused[len_u]:
-                        self.longest = self._longest_unused()
                 else:
                     end = ends[v]
                     len_v = lens[v]
@@ -436,7 +429,6 @@ class _TupleSearch:
                     lens[end] = len_v
                 else:
                     unused[len_u] += 1
-                    self.longest = longest
         return None
 
     def _leaf(self) -> ConstellationWitness:

@@ -139,7 +139,7 @@ def rh_defect(datum: CandidateDatum) -> int:
 def parse_datum(text: str) -> CandidateDatum:
     """Parse ``"degree: [a,b] [c,d] ..."`` into a normalized datum.
 
-    Grammar: ``datum := degree ":" partition+`` with
+    Grammar: ``datum := degree ":" partition*`` with
     ``partition := "[" int ("," int)* "]"``; integers are base-10 and
     positive.  Errors report a 0-based offset into the input.
     """
@@ -173,8 +173,6 @@ def parse_datum(text: str) -> CandidateDatum:
         raise DatumParseError("expected ':' after the degree", i)
     i += 1
     skip_ws()
-    if i >= n:
-        raise DatumParseError("expected at least one partition", i)
 
     collected: list[tuple[int, list[int]]] = []
     while i < n:

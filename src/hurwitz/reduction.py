@@ -9,8 +9,8 @@ enumerator, the admissibility check of ``children_thm1/2/3`` and
 :func:`replay` all read it.
 
 A :class:`ReductionStep` records enough to replay the transformation, so a
-chain of steps ending in a witness (or in the trivial degree-1 datum) is an
-independently checkable realizability certificate.
+chain of steps ending in a witness for its last child is an independently
+checkable realizability certificate.
 """
 
 from __future__ import annotations
@@ -73,40 +73,43 @@ class ReductionStep:
 
 @dataclass(frozen=True, slots=True)
 class ReductionChain:
-    """Steps from the original datum down to a base certificate.
-
-    ``base`` is a witness for the final child, or None when the chain ends
-    at the trivial degree-1 datum.
-    """
+    """Steps from the original datum down to a witness for the final child."""
 
     steps: tuple[ReductionStep, ...]
-    base: ConstellationWitness | None
+    base: ConstellationWitness
 
     def to_json(self) -> dict:
         return {
             "type": "chain",
             "steps": [s.to_json() for s in self.steps],
-            "base": self.base.to_json() if self.base is not None else {"type": "trivial"},
+            "base": self.base.to_json(),
         }
 
     def render(self) -> str:
         hops = " -> ".join(
             f"{s.theorem}(s={s.s}{f',t={s.t}' if s.t else ''}) d={s.child.degree}" for s in self.steps
         )
-        tail = "identity cover" if self.base is None else f"witness {self.base.render()}"
-        return f"{hops}; base: {tail}" if hops else f"base: {tail}"
+        tail = f"base: witness {self.base.render()}"
+        return f"{hops}; {tail}" if hops else tail
 
 
 def replay(step: ReductionStep) -> CandidateDatum:
     """Rebuild and return the parent datum, validating every record.
 
-    Raises :class:`StepReplayError` on any inconsistency: an ``s`` or ``t``
-    the theorem does not take, wrong piece counts, pieces that do not
-    reassemble their source, or a child that does not match the recorded
-    pieces.
+    Raises :class:`StepReplayError` on any inconsistency: a field of the
+    wrong type, an ``s`` or ``t`` the theorem does not take, wrong piece
+    counts, pieces that do not reassemble their source, or a child that does
+    not match the recorded pieces.
     """
-    if step.theorem not in _ARITY:
+    if not (type(step.theorem) is str and step.theorem in _ARITY):
         raise StepReplayError(f"unknown theorem {step.theorem!r}")
+    pair = step.pair
+    if not (isinstance(pair, tuple) and len(pair) == 2 and all(type(i) is int for i in pair)):
+        raise StepReplayError(f"pair {pair!r} is not two indices")
+    if not isinstance(step.child, CandidateDatum):
+        raise StepReplayError(f"child {step.child!r} is not a datum")
+    if not isinstance(step.records, tuple):
+        raise StepReplayError("records are not a tuple")
     fixed_s, fixed_t, _ = _ARITY[step.theorem]
     for name, fixed, value in (("s", fixed_s, step.s), ("t", fixed_t, step.t)):
         if fixed is None:
@@ -120,6 +123,10 @@ def replay(step: ReductionStep) -> CandidateDatum:
     sources = []
     all_pieces: list[Partition] = []
     for rec in step.records:
+        if not (isinstance(rec, SplitRecord) and type(rec.index) is int
+                and type(rec.scale) is int and type(rec.role) is str
+                and isinstance(rec.source, Partition) and isinstance(rec.pieces, tuple)):
+            raise StepReplayError(f"malformed record {rec!r}")
         if rec.role not in shape:
             raise StepReplayError(f"role {rec.role!r} not allowed in {step.theorem}")
         scale, count = shape[rec.role]
@@ -128,8 +135,8 @@ def replay(step: ReductionStep) -> CandidateDatum:
         if len(rec.pieces) != count:
             raise StepReplayError(f"record {rec.index}: {len(rec.pieces)} pieces, expected {count}")
         for piece in rec.pieces:
-            if piece.total != u:
-                raise StepReplayError(f"record {rec.index}: piece {piece} does not sum to {u}")
+            if not isinstance(piece, Partition) or piece.total != u:
+                raise StepReplayError(f"record {rec.index}: piece {piece} is not a partition of {u}")
         if merged(rec.pieces).scaled(rec.scale) != rec.source:
             raise StepReplayError(f"record {rec.index}: pieces do not reassemble {rec.source}")
         if rec.role == ROLE_PAIR and rec.index not in step.pair:

@@ -259,7 +259,7 @@ def test_criterion_scan_determinism(tmp_path):
 def test_prime_degree_report():
     """Exploratory, reported not asserted: exceptional counts at prime degree."""
     for degree in (5, 7):
-        report = scan(degree, 3, BUDGET, mode="oracle-only")
+        report = scan(degree, 3, BUDGET)
         cell = report.counts.get((degree, 3), {})
         print(
             f"REPORT prime-degree d={degree} n=3: realizable={cell.get(REALIZABLE, 0)}"

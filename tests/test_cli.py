@@ -20,6 +20,18 @@ def test_check_parse_error(capsys):
     assert "sums to 5" in capsys.readouterr().err
 
 
+def test_check_reads_back_its_canonical_form(capsys):
+    assert main(["check", "1: [1]"]) == 0
+    out = capsys.readouterr().out
+    assert "canonical: 1:\n" in out
+    assert "witness:   ()\n" in out
+    assert main(["check", "1:", "--expect", "realizable"]) == 0
+    capsys.readouterr()
+    # no partition at all: unbalanced unless the degree is 1
+    assert main(["check", "4:", "--expect", "exceptional"]) == 0
+    assert "method:    rh" in capsys.readouterr().out
+
+
 def test_check_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["check"])
@@ -57,6 +69,14 @@ def test_scan_writes_jsonl(tmp_path, capsys):
     summary = capsys.readouterr().out
     assert "d=4 n=3: total=6 realizable=5 exceptional=1 unknown=0 by method:" in summary
     assert "disagreements: 0" in summary
+
+
+def test_scan_rejects_fewer_than_one_job(capsys):
+    for jobs in ("0", "-2"):
+        assert main([
+            "scan", "--degree-max", "3", "--branch-points-max", "3", "--jobs", jobs,
+        ]) == 1
+        assert "jobs must be at least 1" in capsys.readouterr().err
 
 
 def test_scan_deterministic_bytes(tmp_path):

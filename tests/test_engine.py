@@ -9,7 +9,7 @@ from hurwitz.engine import DecisionEngine, decide, scan, verify
 from hurwitz.oracle import ConstellationWitness, SearchBudget
 from hurwitz.oracle import decide as oracle_decide
 from hurwitz.partitions import CandidateDatum, enumerate_candidates, parse_datum, rh_defect
-from hurwitz.reduction import ReductionChain
+from hurwitz.reduction import ReductionChain, StepReplayError, replay
 from hurwitz.verdicts import EXCEPTIONAL, REALIZABLE, UNKNOWN, Verdict
 
 
@@ -30,6 +30,8 @@ def test_pipeline_klein_chain():
     assert verdict.status == REALIZABLE
     assert verdict.method.startswith("reduction:")
     assert isinstance(verdict.certificate, ReductionChain)
+    # the chain reduces to the degree-1 datum, whose witness is the empty tuple
+    assert verdict.certificate.base == ConstellationWitness(1, ())
     assert verify(verdict, datum)
 
 
@@ -55,7 +57,8 @@ def test_pipeline_unknown_beyond_degree_limit():
 
 
 def test_base_cases():
-    assert decide(CandidateDatum.make(1, [])).status == REALIZABLE
+    one = decide(CandidateDatum.make(1, []))
+    assert (one.status, one.certificate) == (REALIZABLE, ConstellationWitness(1, ()))
     assert decide("7: [7] [7]").method == "base-case"
     single = CandidateDatum.make(2, [[2]])
     assert decide(single).status == EXCEPTIONAL
@@ -122,10 +125,42 @@ def test_verify_rejects_malformed_chain():
         ReductionChain((None,), chain.base),
         ReductionChain(list(chain.steps), chain.base),
         ReductionChain(chain.steps, "witness"),
+        ReductionChain(chain.steps, None),
         ReductionChain(5, None),
     ]
     for bad in malformed:
         assert verify(dataclasses.replace(verdict, certificate=bad), datum) is False, bad
+
+    # a step field of the wrong type is a replay error, never a crash
+    datum = D("6: [2,2,2] [2,2,2] [3,3]")
+    verdict = decide(datum)
+    chain = verdict.certificate
+    (step,) = chain.steps
+    rec = step.records[0]
+    bad_records = [
+        None,
+        dataclasses.replace(rec, index="0"),
+        dataclasses.replace(rec, scale=3.0),
+        dataclasses.replace(rec, role=None),
+        dataclasses.replace(rec, source=rec.source.parts),
+        dataclasses.replace(rec, pieces=None),
+        dataclasses.replace(rec, pieces=tuple(piece.parts for piece in rec.pieces)),
+        dataclasses.replace(rec, pieces=list(rec.pieces)),
+    ]
+    bad_steps = [dataclasses.replace(step, records=(bad,) + step.records[1:]) for bad in bad_records]
+    bad_steps += [
+        dataclasses.replace(step, records=list(step.records)),
+        dataclasses.replace(step, child="1:"),
+        dataclasses.replace(step, pair=None),
+        dataclasses.replace(step, pair=(1, 2, 0)),
+        dataclasses.replace(step, pair=(1.0, 2)),
+        dataclasses.replace(step, theorem=["thm2"]),
+    ]
+    for bad in bad_steps:
+        with pytest.raises(StepReplayError):
+            replay(bad)
+        bad_chain = ReductionChain((bad,), chain.base)
+        assert verify(dataclasses.replace(verdict, certificate=bad_chain), datum) is False, bad
 
 
 def test_verify_propagates_checker_crash(monkeypatch):
@@ -277,15 +312,7 @@ def test_scan_small_range():
     assert report.methods[(4, 3)] == {
         "filter:cor1.parts": 1, "reduction:thm1": 1, "reduction:thm2": 1, "sample": 3}
     assert "4: [2,2] [2,2] [2,2]" in report.audit
-
-
-def test_scan_modes():
-    oracle_only = scan(4, 3, mode="oracle-only")
-    pipeline_only = scan(4, 3, mode="pipeline-only")
-    assert all("oracle_status" not in row for row in oracle_only.rows)
-    assert all("oracle_status" not in row for row in pipeline_only.rows)
-    both = scan(4, 3, mode="both")
-    assert all(row["oracle_status"] == row["status"] for row in both.rows)
+    assert all(row["oracle_status"] == row["status"] for row in report.rows)
 
 
 def test_scan_parallel_matches_serial():

@@ -240,14 +240,13 @@ def test_orbit_bound_node_count():
         assert nodes == total, n
 
 
-def test_chain_prune_reads_the_longest_unused_part():
-    # the forced factor is [3,2,2,1]: once a product cycle of length 3
-    # closes, an open chain of three entries is already too long.  A prune
-    # that kept reading the longest part of the whole type raises this count
-    # to 67
+def test_chain_prune_reads_the_longest_forced_part():
+    # the forced factor is [3,2,2,1]: an open chain of product entries dies
+    # past three entries, its longest part, even once a product cycle of
+    # length 3 has closed and no part of 3 is left
     verdict = decide(D("8: [5,3] [3,2,2,1] [2,2,2,1,1] [2,1,1,1,1,1,1]"))
     assert verdict.status == REALIZABLE
-    assert verdict.stats.nodes == 58
+    assert verdict.stats.nodes == 67
 
 
 def test_three_point_roles_by_class_size():

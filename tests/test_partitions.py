@@ -34,6 +34,11 @@ def test_parse_normalizes_order_and_drops_trivial():
     assert a == b
 
 
+def test_parse_no_partitions():
+    assert parse_datum("1:") == CandidateDatum.make(1, [])
+    assert parse_datum(" 4 : ") == CandidateDatum.make(4, [])
+
+
 def test_parse_sum_mismatch():
     with pytest.raises(DatumParseError) as err:
         parse_datum("4: [3,2]")
@@ -77,8 +82,6 @@ def test_render_roundtrip_idempotent():
 def test_render_parse_roundtrip_property(case):
     degree, rows = case
     partitions = [row + [1] * (degree - sum(row)) for row in rows]
-    if all(max(p) == 1 for p in partitions):
-        return  # nothing nontrivial to render
     datum = CandidateDatum.make(degree, partitions)
     assert parse_datum(datum.render()) == datum
 
