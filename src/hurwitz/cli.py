@@ -6,14 +6,17 @@ Subcommands:
   family   generate doubled-uniform-fiber data with an oversized part
   corpus   run the embedded regression corpus
 
-Exit codes: 0 decision completed, 1 usage or parse error, 2 internal error,
-3 expectation mismatch (``--expect``, scan disagreement, corpus failure).
+Exit codes: 0 decision completed, 1 usage or parse error or a closed standard
+output, 2 internal error, 3 expectation mismatch (``--expect``, scan
+disagreement, corpus failure).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from .corpus import run_corpus
@@ -37,6 +40,15 @@ def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
                      help="largest degree the search will attempt (default %(default)s)")
     sub.add_argument("--max-nodes", type=int, default=default.max_nodes,
                      help="backtrack-node budget for one search (default %(default)s)")
+
+
+def _output_file(path: str):
+    """Open ``path`` for writing while the arguments are parsed, so a path
+    that cannot be opened is a usage error before any work starts."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot open {path!r}: {exc.strerror}") from exc
 
 
 def _budget(args) -> SearchBudget:
@@ -83,18 +95,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    report = scan(args.degree_max, args.branch_points_max, _budget(args), jobs=args.jobs)
-    lines = [_dump(row) for row in report.rows]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write("".join(line + "\n" for line in lines))
-        summary_stream = sys.stdout
-    else:
-        for line in lines:
-            print(line)
-        summary_stream = sys.stderr
+    with args.out or contextlib.nullcontext():
+        report = scan(args.degree_max, args.branch_points_max, _budget(args), jobs=args.jobs)
+        for row in report.rows:
+            print(_dump(row), file=args.out)  # None prints to standard output
     for line in report.summary_lines():
-        print(line, file=summary_stream)
+        print(line, file=sys.stdout if args.out else sys.stderr)
     return 3 if report.disagreements else 0
 
 
@@ -162,7 +168,7 @@ def build_parser() -> _Parser:
     scan_cmd = sub.add_parser("scan", help="adjudicate every candidate in a range")
     scan_cmd.add_argument("--degree-max", type=int, required=True)
     scan_cmd.add_argument("--branch-points-max", type=int, required=True)
-    scan_cmd.add_argument("--out", help="write JSONL rows to this file")
+    scan_cmd.add_argument("--out", type=_output_file, help="write JSONL rows to this file")
     scan_cmd.add_argument("--jobs", type=int, default=1,
                           help="worker processes, at least 1 (default %(default)s)")
     _add_budget_flags(scan_cmd)
@@ -187,7 +193,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; aim it at the null device for the final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -140,8 +140,9 @@ def parse_datum(text: str) -> CandidateDatum:
     """Parse ``"degree: [a,b] [c,d] ..."`` into a normalized datum.
 
     Grammar: ``datum := degree ":" partition*`` with
-    ``partition := "[" int ("," int)* "]"``; integers are base-10 and
-    positive.  Errors report a 0-based offset into the input.
+    ``partition := "[" int ("," int)* "]"``; integers are positive and
+    written in the ASCII digits 0-9.  Errors report a 0-based offset into
+    the input.
     """
     i = 0
     n = len(text)
@@ -154,7 +155,7 @@ def parse_datum(text: str) -> CandidateDatum:
     def read_int(what: str) -> int:
         nonlocal i
         start = i
-        while i < n and text[i].isdigit():
+        while i < n and "0" <= text[i] <= "9":
             i += 1
         if i == start:
             raise DatumParseError(f"expected {what}", start)
@@ -217,12 +218,10 @@ def decompose(partition: Partition, count: int, total: int) -> tuple[tuple[Parti
 
     Each split is a tuple of groups in sort-key order.  Groups may be
     trivial (all ones).  Returns the empty tuple when no split exists, e.g.
-    when some part exceeds ``total``.  Two symmetry rules prune
-    the search (a part never goes into a group whose current content and
-    remaining capacity duplicate an earlier group's, and a run of equal
-    parts is placed with non-decreasing group indices); label swaps that
-    slip past both rules are removed at emission, so the result is
-    duplicate-free.
+    when some part exceeds ``total``.  One rule makes every split appear
+    once: the groups are filled one at a time, each starts with the largest
+    part left, and none is lexicographically greater than the group before
+    it, so a split is built only with its groups in non-increasing order.
     """
     if count < 1 or total < 1:
         raise ValueError("count and total must be positive")
@@ -230,45 +229,37 @@ def decompose(partition: Partition, count: int, total: int) -> tuple[tuple[Parti
         raise ValueError(f"{count} groups of {total} cannot reassemble a total of {partition.total}")
 
     parts = partition.parts
-    contents: list[list[int]] = [[] for _ in range(count)]
-    remaining = [total] * count
+    free = [True] * len(parts)
     found: list[tuple[Partition, ...]] = []
-    emitted: set[tuple[tuple[int, ...], ...]] = set()
 
-    def place(idx: int, min_group: int) -> None:
-        if idx == len(parts):
-            groups = tuple(
-                sorted((Partition(tuple(c)) for c in contents), key=lambda p: p.sort_key)
-            )
-            key = tuple(g.parts for g in groups)
-            if key in emitted:
-                return
-            emitted.add(key)
-            found.append(groups)
+    def fill(done: tuple, group: tuple, start: int, room: int, bound: tuple | None) -> None:
+        # extend ``group`` with free parts from index ``start`` on; ``bound`` is
+        # the group before it while ``group`` is a prefix of that group
+        if room == 0:
+            done += (Partition(group),)
+            if len(done) == count:
+                found.append(tuple(sorted(done, key=lambda p: p.sort_key)))
+            else:
+                fill(done, (), free.index(True), total, done[-1].parts)
             return
-        part = parts[idx]
-        same_next = idx + 1 < len(parts) and parts[idx + 1] == part
-        seen: set[tuple[tuple[int, ...], int]] = set()
-        for g in range(min_group, count):
-            if remaining[g] < part:
-                continue
-            sig = (tuple(contents[g]), remaining[g])
-            if sig in seen:
-                continue
-            seen.add(sig)
-            contents[g].append(part)
-            remaining[g] -= part
-            place(idx + 1, g if same_next else 0)
-            contents[g].pop()
-            remaining[g] += part
+        last = 0
+        for k in range(start, len(parts)):
+            p = parts[k]
+            if free[k] and p <= room and p != last and (bound is None or p <= bound[len(group)]):
+                last = p  # an equal part here would repeat this branch
+                free[k] = False
+                fill(done, group + (p,), k + 1, room - p,
+                     bound if bound and p == bound[len(group)] else None)
+                free[k] = True
+            if not group:
+                break  # a group starts with the largest part left
 
-    place(0, 0)
+    fill((), (), 0, total, None)
     return tuple(found)
 
 
-def partitions_of(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+def partitions_of(total: int) -> Iterator[tuple[int, ...]]:
     """All partitions of ``total`` as non-increasing tuples, in descending-lex order."""
-    cap = total if max_part is None else min(max_part, total)
 
     def gen(remaining: int, bound: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
@@ -279,7 +270,7 @@ def partitions_of(total: int, max_part: int | None = None) -> Iterator[tuple[int
             yield from gen(remaining - p, p, prefix)
             prefix.pop()
 
-    yield from gen(total, cap, [])
+    yield from gen(total, total, [])
 
 
 def nontrivial_partitions(total: int) -> list[Partition]:

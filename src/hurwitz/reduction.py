@@ -5,8 +5,9 @@ strictly smaller candidate data whose realizability is equivalent to the
 parent's.  The three theorems thm1-thm3 are stated once, in the table
 ``criteria._ARITY`` (described in :mod:`hurwitz.criteria`): the divisors
 each takes, and every role's scale and piece count.  The one child
-enumerator, the admissibility check of ``children_thm1/2/3`` and
-:func:`replay` all read it.
+enumerator, which checks a plan against the structure's admitted
+``reductions`` and takes its child degree from there, and :func:`replay`
+both read it.
 
 A :class:`ReductionStep` records enough to replay the transformation, so a
 chain of steps ending in a witness for its last child is an independently
@@ -162,17 +163,24 @@ def _children(
     theorem: str, datum: CandidateDatum, match: StructureMatch, third: int | None = None,
     t: int | None = None,
 ) -> Iterator[ReductionStep]:
-    """Deduplicated steps over the cartesian product of every role's splits.
+    """Deduplicated steps of ``theorem`` over the cartesian product of every role's splits.
 
-    The roles are pair i, pair j, the third (if any), then the other
-    partitions in ``match.other_gcds`` order; each source is divided by its
-    role's scale and split into its piece count.  Empty when some role has
-    no split.  A one-piece role (thm1's pair) is its own only split, so it
-    skips :func:`decompose`.
+    The datum must be balanced and ``match.reductions`` must hold a row for
+    ``theorem``, ``third`` and ``t``; the child degree u is that row's.
+    Otherwise iterating raises a ValueError.  The roles are pair i, pair j,
+    the third (if any), then the other partitions in ``match.other_gcds``
+    order; each source is divided by its role's scale and split into its
+    piece count.  Empty when some role has no split.  A one-piece role
+    (thm1's pair) is its own only split, so it skips :func:`decompose`.
     """
+    if rh_defect(datum) != 0:
+        raise ValueError("datum must be balanced")
+    u = next((row[3] for row in match.reductions if row[:3] == (theorem, third, t)), None)
+    if u is None:
+        raise ValueError(f"{theorem} does not admit third={third}, t={t} on pair {match.pair}"
+                         f" divisible by {match.divisor}, d'={match.subdegree}")
     s = match.divisor
     shape = _shape(theorem, s, t)
-    u = match.subdegree // shape[ROLE_PAIR][1]  # d / (pair scale s * pair pieces)
     slots = _role_slots(match, third)
     ps = datum.partitions
     option_lists = []
@@ -195,33 +203,19 @@ def _children(
         yield ReductionStep(theorem, s, t, match.pair, tuple(records), child)
 
 
-def _reduce(
-    theorem: str, datum: CandidateDatum, match: StructureMatch, third: int | None = None,
-    t: int | None = None,
-) -> Iterator[ReductionStep]:
-    """The children of ``theorem`` on a balanced datum, once the table admits
-    its pair, third and t; a ValueError otherwise."""
-    if rh_defect(datum) != 0:
-        raise ValueError("datum must be balanced")
-    if (theorem, third, t) not in [plan[:3] for plan in match.reductions]:
-        raise ValueError(f"{theorem} does not admit third={third}, t={t} on pair {match.pair}"
-                         f" divisible by {match.divisor}, d'={match.subdegree}")
-    return _children(theorem, datum, match, third, t)
-
-
 def children_thm1(datum: CandidateDatum, match: StructureMatch) -> Iterator[ReductionStep]:
     """Children of degree d/s for an s-divisible pair; empty when some other
     partition admits no split into s partitions of d'."""
-    return _reduce("thm1", datum, match)
+    return _children("thm1", datum, match)
 
 
 def children_thm2(
     datum: CandidateDatum, match: StructureMatch, third: int, t: int
 ) -> Iterator[ReductionStep]:
     """Children of degree d'/t for a 2-divisible pair and a t-divisible third."""
-    return _reduce("thm2", datum, match, third, t)
+    return _children("thm2", datum, match, third, t)
 
 
 def children_thm3(datum: CandidateDatum, match: StructureMatch, third: int) -> Iterator[ReductionStep]:
     """Children of degree d'/4 for a 3-divisible pair and an all-even third."""
-    return _reduce("thm3", datum, match, third)
+    return _children("thm3", datum, match, third)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from hurwitz import cli
 from hurwitz.cli import main
 
 
@@ -112,3 +117,31 @@ def test_family_empty_warns(capsys):
 def test_corpus_command(capsys):
     assert main(["corpus"]) == 0
     assert "corpus entries matched" in capsys.readouterr().out
+
+
+def test_scan_unopenable_out_is_a_usage_error_before_scanning(tmp_path, monkeypatch, capsys):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan ran before --out was opened")
+
+    monkeypatch.setattr(cli, "scan", no_scan)
+    with pytest.raises(SystemExit) as err:
+        main(["scan", "--degree-max", "4", "--branch-points-max", "3",
+              "--out", str(tmp_path / "missing" / "rows.jsonl")])
+    assert err.value.code == 1
+    assert "--out" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_1_silently():
+    # the rows (about 140 kB) overfill the pipe, so writes continue after the reader closes
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hurwitz", "scan", "--degree-max", "8", "--branch-points-max", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""

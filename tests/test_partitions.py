@@ -13,6 +13,7 @@ from hurwitz.partitions import (
     merged,
     nontrivial_partitions,
     parse_datum,
+    partitions_of,
     rh_defect,
 )
 from oracles import naive_splits
@@ -53,6 +54,17 @@ def test_parse_syntax_errors(text):
     with pytest.raises(DatumParseError) as err:
         parse_datum(text)
     assert err.value.position >= 0
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [("\u0664: [\u0662,\u0662] [\u0662,\u0662] [\u0662,\u0662]", 0),  # Arabic-Indic digits
+     ("4: [2,\u00b2] [2,2] [2,2]", 6)],  # a superscript two
+)
+def test_parse_rejects_non_ascii_digits(text, offset):
+    with pytest.raises(DatumParseError) as err:
+        parse_datum(text)
+    assert err.value.position == offset
 
 
 def test_parse_zero_and_degree_errors():
@@ -145,6 +157,35 @@ def test_decompose_matches_naive_oracle_random():
         got = {tuple(g.parts for g in groups) for groups in decompose(source, count, total // count)}
         assert len(got) == len(decompose(source, count, total // count))  # no duplicates
         assert got == naive_splits(parts, count, total // count)
+
+
+def test_decompose_matches_naive_oracle_exhaustive():
+    checked = 0
+    for total in range(1, 11):
+        for parts in partitions_of(total):
+            for count in range(1, 6):
+                if total % count:
+                    continue
+                splits = decompose(Partition(parts), count, total // count)
+                got = {tuple(g.parts for g in groups) for groups in splits}
+                assert len(got) == len(splits), (parts, count)  # no split twice
+                assert got == naive_splits(parts, count, total // count), (parts, count)
+                checked += 1
+    assert checked == 340
+
+
+def test_decompose_order_is_pinned():
+    # the engine tries reduction children in this order, so it picks the chain
+    assert decompose(P(4, 3, 2, 2, 1, 1, 1), 2, 7) == (
+        (P(4, 3), P(2, 2, 1, 1, 1)),
+        (P(4, 2, 1), P(3, 2, 1, 1)),
+        (P(3, 2, 2), P(4, 1, 1, 1)),
+    )
+    assert decompose(P(3, 3, 2, 2, 1, 1, 1, 1, 1), 3, 5) == (
+        (P(3, 2), P(3, 2), P(1, 1, 1, 1, 1)),
+        (P(3, 2), P(3, 1, 1), P(2, 1, 1, 1)),
+        (P(2, 2, 1), P(3, 1, 1), P(3, 1, 1)),
+    )
 
 
 def test_enumerate_candidates_d4_n3():
