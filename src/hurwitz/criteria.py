@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .partitions import CandidateDatum, Partition, _length_multisets, decompose, rh_defect
+from .partitions import CandidateDatum, Partition, _length_multisets, rh_defect
 from .verdicts import EXCEPTIONAL, REALIZABLE, Verdict
 
 
@@ -223,9 +223,9 @@ def corollary_filter(datum: CandidateDatum, matches: tuple[StructureMatch, ...])
 def songxu_decide(k: int, x: int, y: int, first: Partition) -> Verdict:
     """Closed-form decision for the double-cover family.
 
-    Realizable iff ``first`` splits into two partitions of k and
-    k / gcd(first) >= max(x, y).  The method tag is ``songxu``; no
-    certificate is attached at this level.
+    Realizable iff ``first`` splits into two partitions of k (decided by
+    :func:`_splits_in_half`) and k / gcd(first) >= max(x, y).  The method
+    tag is ``songxu``; no certificate is attached at this level.
     """
     if k < 3:
         raise ValueError("k must be at least 3")
@@ -235,8 +235,21 @@ def songxu_decide(k: int, x: int, y: int, first: Partition) -> Verdict:
         raise ValueError(f"first partition must have {x + y} parts, has {len(first)}")
     if first.total != 2 * k:
         raise ValueError(f"first partition must sum to {2 * k}, sums to {first.total}")
-    ok = bool(decompose(first, 2, k)) and k >= first.gcd() * max(x, y)
+    ok = _splits_in_half(first, k) and k >= first.gcd() * max(x, y)
     return Verdict(REALIZABLE if ok else EXCEPTIONAL, "songxu")
+
+
+def _splits_in_half(first: Partition, k: int) -> bool:
+    """Whether ``first``, of total 2k, splits into two partitions of k.
+
+    A subset sum: bit j of ``sums`` is set when some sub-multiset of the
+    parts sums to j, and a sub-multiset summing to k leaves a complement
+    that sums to k too.  The splits themselves are never built.
+    """
+    sums = 1
+    for part in first.parts:
+        sums |= sums << part
+    return bool(sums >> k & 1)
 
 
 def _half_uniform_excess(p: Partition, k: int) -> int | None:

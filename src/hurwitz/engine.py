@@ -21,7 +21,8 @@ The engine decides a datum by the cheapest sufficient means, in order:
      budget (``oracle``), else the verdict is unknown with a stated limit.
      Each draw is charged as one node of the budget.
 
-Every engine memoizes its verdicts on the normalized datum.
+Every engine memoizes its verdicts on the normalized datum, and the
+reduction splits it has built on (source, piece count, child degree).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .partitions import CandidateDatum, enumerate_candidates, parse_datum, rh_de
 from .reduction import (
     ReductionChain,
     ReductionStep,
+    Splits,
     StepReplayError,
     children_thm1,
     children_thm2,
@@ -62,11 +64,12 @@ from .verdicts import (
 
 
 class DecisionEngine:
-    """Reusable decision context: budget and memo table."""
+    """Reusable decision context: budget, verdict memo and reduction splits."""
 
     def __init__(self, budget: SearchBudget | None = None) -> None:
         self.budget = budget or SearchBudget()
         self._memo: dict[CandidateDatum, Verdict] = {}
+        self._splits: Splits = {}
         self._nodes = 0
         self._cache_hits = 0
 
@@ -147,7 +150,7 @@ class DecisionEngine:
         for plan in _reduction_plans(datum, matches):
             theorem = plan[0][1]
             complete = True
-            for step in _plan_children(datum, plan):
+            for step in _plan_children(datum, plan, self._splits):
                 child_verdict = self._lookup(step.child)
                 if child_verdict.status == REALIZABLE:
                     chain = _extend_chain(step, child_verdict.certificate)
@@ -172,14 +175,17 @@ def _reduction_plans(
     return plans
 
 
-def _plan_children(datum: CandidateDatum, plan: tuple) -> Iterator[ReductionStep]:
-    """The child steps of one plan from :func:`_reduction_plans`."""
+def _plan_children(
+    datum: CandidateDatum, plan: tuple, splits: Splits | None = None
+) -> Iterator[ReductionStep]:
+    """The child steps of one plan from :func:`_reduction_plans`; ``splits``
+    is the memo of :func:`hurwitz.reduction._children`."""
     key, match, third, t = plan
     if key[1] == "thm1":
-        return children_thm1(datum, match)
+        return children_thm1(datum, match, splits)
     if key[1] == "thm2":
-        return children_thm2(datum, match, third, t)
-    return children_thm3(datum, match, third)
+        return children_thm2(datum, match, third, t, splits)
+    return children_thm3(datum, match, third, splits)
 
 
 def _extend_chain(step: ReductionStep, certificate) -> ReductionChain:

@@ -25,6 +25,10 @@ from .oracle import ConstellationWitness
 from .partitions import CandidateDatum, Partition, decompose, merged, rh_defect
 
 
+# (source, piece count, child degree) -> every split, as decompose returns it
+Splits = dict[tuple[Partition, int, int], tuple[tuple[Partition, ...], ...]]
+
+
 class StepReplayError(ValueError):
     """A reduction step is internally inconsistent (e.g. tampered pieces)."""
 
@@ -161,7 +165,7 @@ def replay(step: ReductionStep) -> CandidateDatum:
 
 def _children(
     theorem: str, datum: CandidateDatum, match: StructureMatch, third: int | None = None,
-    t: int | None = None,
+    t: int | None = None, splits: Splits | None = None,
 ) -> Iterator[ReductionStep]:
     """Deduplicated steps of ``theorem`` over the cartesian product of every role's splits.
 
@@ -172,6 +176,9 @@ def _children(
     order; each source is divided by its role's scale and split into its
     piece count.  Empty when some role has no split.  A one-piece role
     (thm1's pair) is its own only split, so it skips :func:`decompose`.
+    ``splits``, when given, maps (source, count, u) to that source's splits:
+    a miss calls :func:`decompose` and stores its answer, so one dict shared
+    by many calls builds each split once.
     """
     if rh_defect(datum) != 0:
         raise ValueError("datum must be balanced")
@@ -187,7 +194,14 @@ def _children(
     for m, role in slots:
         scale, count = shape[role]
         source = ps[m].divided(scale) if scale > 1 else ps[m]
-        options = [(source,)] if count == 1 else decompose(source, count, u)
+        if count == 1:
+            options = [(source,)]
+        elif splits is None:
+            options = decompose(source, count, u)
+        else:
+            options = splits.get((source, count, u))
+            if options is None:
+                options = splits[source, count, u] = decompose(source, count, u)
         if not options:
             return
         option_lists.append(options)
@@ -203,19 +217,24 @@ def _children(
         yield ReductionStep(theorem, s, t, match.pair, tuple(records), child)
 
 
-def children_thm1(datum: CandidateDatum, match: StructureMatch) -> Iterator[ReductionStep]:
+def children_thm1(
+    datum: CandidateDatum, match: StructureMatch, splits: Splits | None = None
+) -> Iterator[ReductionStep]:
     """Children of degree d/s for an s-divisible pair; empty when some other
     partition admits no split into s partitions of d'."""
-    return _children("thm1", datum, match)
+    return _children("thm1", datum, match, splits=splits)
 
 
 def children_thm2(
-    datum: CandidateDatum, match: StructureMatch, third: int, t: int
+    datum: CandidateDatum, match: StructureMatch, third: int, t: int,
+    splits: Splits | None = None,
 ) -> Iterator[ReductionStep]:
     """Children of degree d'/t for a 2-divisible pair and a t-divisible third."""
-    return _children("thm2", datum, match, third, t)
+    return _children("thm2", datum, match, third, t, splits)
 
 
-def children_thm3(datum: CandidateDatum, match: StructureMatch, third: int) -> Iterator[ReductionStep]:
+def children_thm3(
+    datum: CandidateDatum, match: StructureMatch, third: int, splits: Splits | None = None
+) -> Iterator[ReductionStep]:
     """Children of degree d'/4 for a 3-divisible pair and an all-even third."""
-    return _children("thm3", datum, match, third)
+    return _children("thm3", datum, match, third, splits=splits)

@@ -1,6 +1,7 @@
 import pytest
 
 from hurwitz.criteria import (
+    _splits_in_half,
     corollary_filter,
     detect_structures,
     family_instances,
@@ -11,7 +12,15 @@ from hurwitz.criteria import (
 )
 from hurwitz.engine import _strict_audit
 from hurwitz.oracle import decide as oracle_decide
-from hurwitz.partitions import CandidateDatum, Partition, enumerate_candidates, parse_datum, rh_defect
+from hurwitz.partitions import (
+    CandidateDatum,
+    Partition,
+    decompose,
+    enumerate_candidates,
+    parse_datum,
+    partitions_of,
+    rh_defect,
+)
 from hurwitz.verdicts import EXCEPTIONAL, REALIZABLE
 from oracles import reference_corollaries, songxu_datum
 
@@ -162,6 +171,15 @@ def test_songxu_preconditions():
         songxu_decide(3, 1, 1, P(3, 2, 1))  # wrong part count
     with pytest.raises(ValueError):
         songxu_decide(3, 2, 1, P(3, 2))  # wrong total
+
+
+def test_half_split_subset_sum_matches_decompose():
+    # the closed form's subset sum answers exactly what enumerating the splits
+    # into two halves would, on every partition of every even total up to 24
+    for total in range(2, 25, 2):
+        for parts in partitions_of(total):
+            p = Partition(parts)
+            assert _splits_in_half(p, total // 2) == bool(decompose(p, 2, total // 2)), p
 
 
 def test_match_songxu_shape():

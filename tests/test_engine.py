@@ -4,7 +4,9 @@ import pytest
 
 import hurwitz.engine as engine_mod
 import hurwitz.oracle as oracle_mod
-from hurwitz.criteria import detect_structures
+import hurwitz.reduction as reduction_mod
+from hurwitz.corpus import load_corpus
+from hurwitz.criteria import detect_structures, family_instances
 from hurwitz.engine import DecisionEngine, decide, scan, verify
 from hurwitz.oracle import ConstellationWitness, SearchBudget
 from hurwitz.oracle import decide as oracle_decide
@@ -204,13 +206,18 @@ def test_songxu_realizable_engine_has_certificate():
     assert verify(verdict, datum)
 
 
+def _shared_divisor_data(*cells):
+    return [datum for d, n in cells for datum in enumerate_candidates(d, n) if detect_structures(datum)]
+
+
 def _outcome(verdict):
     return (verdict.status, verdict.method, verdict.certificate, verdict.reasons, verdict.limit)
 
 
 def test_memoization_transparent():
+    # one engine's verdict and split memos change no verdict
     texts = [d.render() for d in enumerate_candidates(6, 3)] + [
-        d.render() for d in enumerate_candidates(8, 4) if detect_structures(d)
+        d.render() for d in _shared_divisor_data((8, 3), (12, 3), (8, 4))
     ]
     shared = DecisionEngine()
     for text in texts:
@@ -250,6 +257,30 @@ def test_structures_detected_once_per_pipeline(monkeypatch):
         DecisionEngine().decide(text)
     assert len(pipelines) > len(texts)  # child decisions are counted too
     assert detected == pipelines
+
+
+def test_engine_builds_each_split_once(monkeypatch):
+    calls = []
+    real_decompose = reduction_mod.decompose
+
+    def counting_decompose(partition, count, total):
+        calls.append((partition, count, total))
+        return real_decompose(partition, count, total)
+
+    monkeypatch.setattr(reduction_mod, "decompose", counting_decompose)
+    data = ([parse_datum(entry.datum_text) for entry in load_corpus()]
+            + [datum for datum, _ in family_instances(2, 4, 2)]
+            + _shared_divisor_data((12, 3)))
+    engine = DecisionEngine()
+    for datum in data:
+        engine.decide(datum)
+    first = list(calls)
+    assert first and len(set(first)) == len(first)
+    calls.clear()
+    fresh = DecisionEngine()
+    for datum in data:
+        fresh.decide(datum)
+    assert calls == first  # the splits live and die with their engine
 
 
 def test_engine_budget_monotone():
