@@ -175,9 +175,7 @@ def _reduction_plans(
     return plans
 
 
-def _plan_children(
-    datum: CandidateDatum, plan: tuple, splits: Splits | None = None
-) -> Iterator[ReductionStep]:
+def _plan_children(datum: CandidateDatum, plan: tuple, splits: Splits) -> Iterator[ReductionStep]:
     """The child steps of one plan from :func:`_reduction_plans`; ``splits``
     is the memo of :func:`hurwitz.reduction._children`."""
     key, match, third, t = plan

@@ -176,9 +176,9 @@ def _children(
     order; each source is divided by its role's scale and split into its
     piece count.  Empty when some role has no split.  A one-piece role
     (thm1's pair) is its own only split, so it skips :func:`decompose`.
-    ``splits``, when given, maps (source, count, u) to that source's splits:
-    a miss calls :func:`decompose` and stores its answer, so one dict shared
-    by many calls builds each split once.
+    ``splits`` maps (source, count, u) to that source's splits: a miss calls
+    :func:`decompose` and stores its answer, so one dict shared by many calls
+    builds each split once.  Without one, the call gets a fresh dict.
     """
     if rh_defect(datum) != 0:
         raise ValueError("datum must be balanced")
@@ -190,14 +190,13 @@ def _children(
     shape = _shape(theorem, s, t)
     slots = _role_slots(match, third)
     ps = datum.partitions
+    splits = {} if splits is None else splits
     option_lists = []
     for m, role in slots:
         scale, count = shape[role]
         source = ps[m].divided(scale) if scale > 1 else ps[m]
         if count == 1:
             options = [(source,)]
-        elif splits is None:
-            options = decompose(source, count, u)
         else:
             options = splits.get((source, count, u))
             if options is None:

@@ -239,11 +239,12 @@ def test_every_plan_step_replays():
     from hurwitz.partitions import enumerate_candidates
 
     counts = Counter()
+    splits = {}
     for n, degree_max in ((3, 14), (4, 10), (5, 7)):
         for degree in range(2, degree_max + 1):
             for datum in enumerate_candidates(degree, n):
                 for plan in _reduction_plans(datum, detect_structures(datum)):
-                    for step in _plan_children(datum, plan):
+                    for step in _plan_children(datum, plan, splits):
                         assert replay(step) == datum, (datum.render(), step.theorem)
                         counts[step.theorem] += 1
     assert counts == {"thm1": 2673, "thm2": 45, "thm3": 1}
