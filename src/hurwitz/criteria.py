@@ -260,8 +260,7 @@ def _half_uniform_excess(p: Partition, k: int) -> int | None:
     if not big:
         return 1
     if len(big) == 1 and big[0] % 2 == 0:
-        y = big[0] // 2
-        return y if 1 <= y <= k else None
+        return big[0] // 2
     return None
 
 
@@ -278,7 +277,7 @@ def match_songxu_shape(datum: CandidateDatum) -> tuple[int, int, int, Partition]
         if y is None or x is None:
             continue
         first = ps[rest]
-        if len(first) != x + y or k < max(x, y):
+        if len(first) != x + y:
             continue
         return (k, x, y, first)
     return None

@@ -147,7 +147,7 @@ class DecisionEngine:
         self, datum: CandidateDatum, matches: tuple[StructureMatch, ...]
     ) -> Verdict | None:
         """Realizable/exceptional via some structure, or None when undecided."""
-        for plan in _reduction_plans(datum, matches):
+        for plan in _reduction_plans(matches):
             theorem = plan[0][1]
             complete = True
             for step in _plan_children(datum, plan, self._splits):
@@ -164,7 +164,7 @@ class DecisionEngine:
 
 
 def _reduction_plans(
-    datum: CandidateDatum, matches: tuple[StructureMatch, ...]
+    matches: tuple[StructureMatch, ...],
 ) -> list[tuple[tuple, StructureMatch, int | None, int | None]]:
     """Every admissible role assignment as (key, match, third, t), cheapest child
     degree first; ``key`` is (child degree, theorem, pair, third or divisor, t or 0)."""

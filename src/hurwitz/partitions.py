@@ -165,10 +165,7 @@ def parse_datum(text: str) -> CandidateDatum:
         return value
 
     skip_ws()
-    degree_pos = i
     degree = read_int("a degree")
-    if degree < 1:
-        raise DatumParseError("degree must be at least 1", degree_pos)
     skip_ws()
     if i >= n or text[i] != ":":
         raise DatumParseError("expected ':' after the degree", i)

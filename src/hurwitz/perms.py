@@ -19,13 +19,6 @@ def is_perm(images: Sequence[int]) -> bool:
     return sorted(images) == list(range(len(images)))
 
 
-def compose(p: Perm, q: Perm) -> Perm:
-    """Apply ``q`` first, then ``p`` (the project-wide convention)."""
-    if len(p) != len(q):
-        raise ValueError("degree mismatch")
-    return tuple(p[q[x]] for x in range(len(p)))
-
-
 def inverse(p: Perm) -> Perm:
     inv = [0] * len(p)
     for x, y in enumerate(p):
@@ -34,7 +27,8 @@ def inverse(p: Perm) -> Perm:
 
 
 def product(perms: Iterable[Perm], degree: int) -> Perm:
-    """Compose left to right, the first applied last; degrees are not checked."""
+    """Compose left to right, the first applied last (so ``product([p, q], d)``
+    applies ``q`` first, then ``p``); degrees are not checked."""
     acc = list(range(degree))
     for p in perms:
         acc = [acc[y] for y in p]
@@ -61,17 +55,6 @@ def cycles(p: Perm) -> list[tuple[int, ...]]:
 
 def cycle_type(p: Perm) -> Partition:
     return Partition.of(len(c) for c in cycles(p))
-
-
-def from_cycles(degree: int, cycle_list: Iterable[Iterable[int]]) -> Perm:
-    images = list(range(degree))
-    for cyc in cycle_list:
-        cyc = list(cyc)
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            images[a] = b
-    if not is_perm(images):
-        raise ValueError("cycles overlap or leave the domain")
-    return tuple(images)
 
 
 def canonical_of_type(t: Partition) -> Perm:
@@ -111,11 +94,6 @@ def is_transitive(perms: Sequence[Perm], degree: int) -> bool:
                 count += 1
                 stack.append(y)
     return count == degree
-
-
-def relabel(p: Perm, g: Perm) -> Perm:
-    """Conjugate: rename the points of ``p`` through ``g``."""
-    return compose(g, compose(p, inverse(g)))
 
 
 def cycle_string(p: Perm) -> str:

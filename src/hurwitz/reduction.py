@@ -9,9 +9,10 @@ enumerator, which checks a plan against the structure's admitted
 ``reductions`` and takes its child degree from there, and :func:`replay`
 both read it.
 
-A :class:`ReductionStep` records enough to replay the transformation, so a
-chain of steps ending in a witness for its last child is an independently
-checkable realizability certificate.
+A :class:`ReductionStep` records the theorem, ``s``, ``t`` and, for each
+parent partition, its index, role and pieces; :func:`replay` rebuilds the
+rest from the table, so a chain of steps ending in a witness for its last
+child is an independently checkable realizability certificate.
 """
 
 from __future__ import annotations
@@ -35,30 +36,28 @@ class StepReplayError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class SplitRecord:
-    """How one parent partition was fed into the child datum."""
+    """How the parent partition at ``index`` was fed into the child datum: the
+    partition is its ``role``'s scale times the merged ``pieces``."""
 
     index: int
     role: str
-    scale: int
-    source: Partition
     pieces: tuple[Partition, ...]
 
     def to_json(self) -> dict:
         return {
             "index": self.index,
             "role": self.role,
-            "scale": self.scale,
-            "source": list(self.source.parts),
             "pieces": [list(p.parts) for p in self.pieces],
         }
 
 
 @dataclass(frozen=True, slots=True)
 class ReductionStep:
+    """``theorem`` at ``s`` and ``t``: a record per parent partition, and the child."""
+
     theorem: str
     s: int
     t: int | None
-    pair: tuple[int, int]
     records: tuple[SplitRecord, ...]
     child: CandidateDatum
 
@@ -67,7 +66,6 @@ class ReductionStep:
             "theorem": self.theorem,
             "s": self.s,
             "t": self.t,
-            "pair_indices": list(self.pair),
             "decompositions": [r.to_json() for r in self.records],
             "child": {
                 "degree": self.child.degree,
@@ -101,16 +99,16 @@ class ReductionChain:
 def replay(step: ReductionStep) -> CandidateDatum:
     """Rebuild and return the parent datum, validating every record.
 
-    Raises :class:`StepReplayError` on any inconsistency: a field of the
-    wrong type, an ``s`` or ``t`` the theorem does not take, wrong piece
-    counts, pieces that do not reassemble their source, or a child that does
-    not match the recorded pieces.
+    A record rebuilds the parent partition at its index as its merged pieces
+    times its role's scale.  Raises :class:`StepReplayError` on any
+    inconsistency: a field of the wrong type, an ``s`` or ``t`` the theorem
+    does not take, a role it lacks, wrong piece counts, records out of index
+    order, other than two pair-role records (and one third where the theorem
+    has a third role), a rebuilt partition not at its index, or a child that
+    does not match the pieces.
     """
     if not (type(step.theorem) is str and step.theorem in _ARITY):
         raise StepReplayError(f"unknown theorem {step.theorem!r}")
-    pair = step.pair
-    if not (isinstance(pair, tuple) and len(pair) == 2 and all(type(i) is int for i in pair)):
-        raise StepReplayError(f"pair {pair!r} is not two indices")
     if not isinstance(step.child, CandidateDatum):
         raise StepReplayError(f"child {step.child!r} is not a datum")
     if not isinstance(step.records, tuple):
@@ -129,35 +127,30 @@ def replay(step: ReductionStep) -> CandidateDatum:
     all_pieces: list[Partition] = []
     for rec in step.records:
         if not (isinstance(rec, SplitRecord) and type(rec.index) is int
-                and type(rec.scale) is int and type(rec.role) is str
-                and isinstance(rec.source, Partition) and isinstance(rec.pieces, tuple)):
+                and type(rec.role) is str and isinstance(rec.pieces, tuple)):
             raise StepReplayError(f"malformed record {rec!r}")
         if rec.role not in shape:
             raise StepReplayError(f"role {rec.role!r} not allowed in {step.theorem}")
         scale, count = shape[rec.role]
-        if rec.scale != scale:
-            raise StepReplayError(f"record {rec.index}: scale {rec.scale}, expected {scale}")
         if len(rec.pieces) != count:
             raise StepReplayError(f"record {rec.index}: {len(rec.pieces)} pieces, expected {count}")
         for piece in rec.pieces:
             if not isinstance(piece, Partition) or piece.total != u:
                 raise StepReplayError(f"record {rec.index}: piece {piece} is not a partition of {u}")
-        if merged(rec.pieces).scaled(rec.scale) != rec.source:
-            raise StepReplayError(f"record {rec.index}: pieces do not reassemble {rec.source}")
-        if rec.role == ROLE_PAIR and rec.index not in step.pair:
-            raise StepReplayError(f"record {rec.index}: pair role outside pair indices")
-        sources.append(rec.source)
+        sources.append(merged(rec.pieces).scaled(scale))
         all_pieces.extend(rec.pieces)
-    if sorted(r.index for r in step.records) != list(range(len(step.records))):
-        raise StepReplayError("records do not cover the parent partitions exactly once")
-    if ROLE_THIRD in shape and sum(r.role == ROLE_THIRD for r in step.records) != 1:
-        raise StepReplayError(f"{step.theorem} needs exactly one third-role record")
+    if [rec.index for rec in step.records] != list(range(len(sources))):
+        raise StepReplayError("records do not list the parent partitions in index order")
+    roles = [rec.role for rec in step.records]
+    thirds = int(ROLE_THIRD in shape)
+    if roles.count(ROLE_PAIR) != 2 or roles.count(ROLE_THIRD) != thirds:
+        raise StepReplayError(f"{step.theorem} needs two pair-role records and {thirds} third")
     if CandidateDatum.make(u, all_pieces) != step.child:
         raise StepReplayError("child datum does not match the recorded pieces")
-    degrees = {p.total for p in sources}
-    if len(degrees) != 1:
-        raise StepReplayError("sources disagree on the parent degree")
-    parent = CandidateDatum.make(degrees.pop(), sources)
+    # the table gives every source one total; make() drops an all-ones one
+    parent = CandidateDatum.make(sources[0].total, sources)
+    if parent.partitions != tuple(sources):
+        raise StepReplayError("a rebuilt partition is not the parent's at its record's index")
     if rh_defect(parent) != 0 or rh_defect(step.child) != 0:
         raise StepReplayError("replayed data are not balanced")
     return parent
@@ -210,10 +203,10 @@ def _children(
         if child in seen:
             continue
         seen.add(child)
-        records = sorted((SplitRecord(m, role, shape[role][0], ps[m], groups)
-                          for (m, role), groups in zip(slots, combo)), key=lambda rec: rec.index)
+        records = sorted((SplitRecord(m, role, groups) for (m, role), groups in zip(slots, combo)),
+                         key=lambda rec: rec.index)
         assert rh_defect(child) == 0
-        yield ReductionStep(theorem, s, t, match.pair, tuple(records), child)
+        yield ReductionStep(theorem, s, t, tuple(records), child)
 
 
 def children_thm1(

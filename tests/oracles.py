@@ -5,9 +5,10 @@ cycle lengths and orbits are recomputed inline, splits are enumerated over
 labeled groups and the labels forgotten afterwards, and the tuple search
 enumerates whole conjugacy classes outright with no canonical pinning, no
 cycle-by-cycle construction, and no pruning.  :func:`songxu_datum` builds
-the double-cover family datum that the closed form is checked against, and
+the double-cover family datum that the closed form is checked against,
 :func:`reference_corollaries` states the corollary filter case by case, with
-its length rules.
+its length rules, and :func:`from_cycles` and :func:`relabel` build test
+permutations.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import itertools
 import math
 
 from hurwitz.partitions import CandidateDatum, Partition
+from hurwitz.perms import inverse, product
 
 
 def naive_cycle_lengths(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -62,6 +64,21 @@ def naive_splits(parts: tuple[int, ...], count: int, total: int) -> set[tuple[tu
 
     assign(0)
     return results
+
+
+def from_cycles(degree: int, cycle_list) -> tuple[int, ...]:
+    """The permutation of 0..degree-1 with the given disjoint cycles."""
+    images = list(range(degree))
+    for cyc in cycle_list:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            images[a] = b
+    assert sorted(images) == list(range(degree)), "cycles overlap or leave the domain"
+    return tuple(images)
+
+
+def relabel(p: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """Conjugate ``p`` by ``g``: rename the points of ``p`` through ``g``."""
+    return product([g, p, inverse(g)], len(p))
 
 
 _class_cache: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}

@@ -10,7 +10,14 @@ from hurwitz.criteria import detect_structures, family_instances
 from hurwitz.engine import DecisionEngine, decide, scan, verify
 from hurwitz.oracle import ConstellationWitness, SearchBudget
 from hurwitz.oracle import decide as oracle_decide
-from hurwitz.partitions import CandidateDatum, enumerate_candidates, parse_datum, rh_defect
+from hurwitz.partitions import (
+    CandidateDatum,
+    Partition,
+    enumerate_candidates,
+    merged,
+    parse_datum,
+    rh_defect,
+)
 from hurwitz.reduction import ReductionChain, StepReplayError, replay
 from hurwitz.verdicts import EXCEPTIONAL, REALIZABLE, UNKNOWN, Verdict
 
@@ -142,9 +149,7 @@ def test_verify_rejects_malformed_chain():
     bad_records = [
         None,
         dataclasses.replace(rec, index="0"),
-        dataclasses.replace(rec, scale=3.0),
         dataclasses.replace(rec, role=None),
-        dataclasses.replace(rec, source=rec.source.parts),
         dataclasses.replace(rec, pieces=None),
         dataclasses.replace(rec, pieces=tuple(piece.parts for piece in rec.pieces)),
         dataclasses.replace(rec, pieces=list(rec.pieces)),
@@ -153,9 +158,6 @@ def test_verify_rejects_malformed_chain():
     bad_steps += [
         dataclasses.replace(step, records=list(step.records)),
         dataclasses.replace(step, child="1:"),
-        dataclasses.replace(step, pair=None),
-        dataclasses.replace(step, pair=(1, 2, 0)),
-        dataclasses.replace(step, pair=(1.0, 2)),
         dataclasses.replace(step, theorem=["thm2"]),
     ]
     for bad in bad_steps:
@@ -163,6 +165,76 @@ def test_verify_rejects_malformed_chain():
             replay(bad)
         bad_chain = ReductionChain((bad,), chain.base)
         assert verify(dataclasses.replace(verdict, certificate=bad_chain), datum) is False, bad
+
+    # forged records whose pieces match their role; each child is rebuilt
+    # from the pieces, so only the records' index and role checks can fail
+    def forge(datum, match, edit):
+        step = next(iter(reduction_mod.children_thm1(datum, match)))
+        records = edit(list(step.records))
+        child = CandidateDatum.make(step.child.degree, [g for r in records for g in r.pieces])
+        return dataclasses.replace(step, records=tuple(records), child=child)
+
+    def ones(records):
+        # the [3,2,2,1,1] record's pieces rebuilding [1]*9, which a datum drops
+        records[2] = dataclasses.replace(records[2], pieces=(Partition.of([1, 1, 1]),) * 3)
+        return records
+
+    def one_pair(records):
+        # the second [2,2] recast as an "other" record split into [2] [2]
+        records[1] = dataclasses.replace(records[1], role="other", pieces=records[2].pieces)
+        return records
+
+    def same_index(records):
+        records[1] = dataclasses.replace(records[1], index=0)
+        return records
+
+    for text, edit, error in (
+        ("9: [3,3,3] [3,3,3] [3,2,2,1,1]", ones, "not the parent's at its record's index"),
+        ("4: [2,2] [2,2] [2,2]", one_pair, "two pair-role records"),
+        ("4: [2,2] [2,2] [2,2]", same_index, "index order"),
+    ):
+        datum = D(text)
+        match = [m for m in detect_structures(datum) if m.pair == (0, 1)][0]
+        bad = forge(datum, match, edit)
+        with pytest.raises(StepReplayError, match=error):
+            replay(bad)
+        forged = Verdict(REALIZABLE, "reduction:thm1", certificate=ReductionChain((bad,), chain.base))
+        assert verify(forged, datum) is False, text
+
+
+def test_shared_divisor_chains_verify_and_reject_index_swaps():
+    # every verdict of one engine verifies; in every chain step, swapping the
+    # indices of two same-role records that rebuild different partitions is
+    # rejected, whether or not the records are then put back in index order
+    engine = DecisionEngine()
+    chains = forgeries = 0
+    for datum in _shared_divisor_data((8, 4), (12, 3), (14, 3), (15, 3), (12, 4)):
+        verdict = engine.decide(datum)
+        assert verify(verdict, datum), datum.render()
+        chain = verdict.certificate
+        if not isinstance(chain, ReductionChain):
+            continue
+        chains += 1
+        for k, step in enumerate(chain.steps):
+            recs = step.records
+            swap = next(((a, b) for a in range(len(recs)) for b in range(a + 1, len(recs))
+                         if recs[a].role == recs[b].role
+                         and merged(recs[a].pieces) != merged(recs[b].pieces)), None)
+            if swap is None:
+                continue
+            a, b = swap
+            swapped = list(recs)
+            swapped[a] = dataclasses.replace(recs[a], index=recs[b].index)
+            swapped[b] = dataclasses.replace(recs[b], index=recs[a].index)
+            for records in (swapped, sorted(swapped, key=lambda r: r.index)):
+                bad = dataclasses.replace(step, records=tuple(records))
+                with pytest.raises(StepReplayError):
+                    replay(bad)
+                steps = chain.steps[:k] + (bad,) + chain.steps[k + 1:]
+                forged = dataclasses.replace(verdict, certificate=ReductionChain(steps, chain.base))
+                assert verify(forged, datum) is False, datum.render()
+            forgeries += 1
+    assert (chains, forgeries) == (2608, 2498)
 
 
 def test_verify_propagates_checker_crash(monkeypatch):

@@ -15,9 +15,9 @@ from hurwitz.oracle import (
     decide,
 )
 from hurwitz.partitions import CandidateDatum, Partition, enumerate_candidates, parse_datum
-from hurwitz.perms import inverse, relabel
+from hurwitz.perms import inverse
 from hurwitz.verdicts import EXCEPTIONAL, REALIZABLE, UNKNOWN
-from oracles import reference_decide
+from oracles import reference_decide, relabel
 
 
 def D(text):

@@ -70,8 +70,9 @@ def test_parse_rejects_non_ascii_digits(text, offset):
 def test_parse_zero_and_degree_errors():
     with pytest.raises(DatumParseError):
         parse_datum("4: [2,0,2]")
-    with pytest.raises(DatumParseError):
+    with pytest.raises(DatumParseError, match=r"^a degree must be positive, got 0 \(at offset 0\)$") as err:
         parse_datum("0: [1]")
+    assert err.value.position == 0
     with pytest.raises(DatumParseError):
         parse_datum("4: [2,-2]")
 

@@ -243,7 +243,7 @@ def test_every_plan_step_replays():
     for n, degree_max in ((3, 14), (4, 10), (5, 7)):
         for degree in range(2, degree_max + 1):
             for datum in enumerate_candidates(degree, n):
-                for plan in _reduction_plans(datum, detect_structures(datum)):
+                for plan in _reduction_plans(detect_structures(datum)):
                     for step in _plan_children(datum, plan, splits):
                         assert replay(step) == datum, (datum.render(), step.theorem)
                         counts[step.theorem] += 1
