@@ -42,13 +42,15 @@ def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
                      help="backtrack-node budget for one search (default %(default)s)")
 
 
-def _output_file(path: str):
-    """Open ``path`` for writing while the arguments are parsed, so a path
-    that cannot be opened is a usage error before any work starts."""
+def _output_file(path: str) -> str:
+    """Check that ``path`` opens while the arguments are parsed, so a path that
+    cannot be opened is a usage error before any work starts; the check leaves
+    an existing file as it was, and ``cmd_scan`` rewrites it with the rows."""
     try:
-        return open(path, "w", encoding="utf-8")
+        open(path, "a", encoding="utf-8").close()
     except OSError as exc:
         raise argparse.ArgumentTypeError(f"cannot open {path!r}: {exc.strerror}") from exc
+    return path
 
 
 def _budget(args) -> SearchBudget:
@@ -76,7 +78,7 @@ def _verdict_text(verdict, datum, input_text: str) -> str:
     elif isinstance(cert, ReductionChain):
         lines.append(f"chain:     {cert.render()}")
     stats = verdict.stats
-    lines.append(f"stats:     nodes={stats.nodes} cache_hits={stats.cache_hits} millis={stats.millis}")
+    lines.append(f"stats:     nodes={stats.nodes} cache_hits={stats.cache_hits}")
     return "\n".join(lines)
 
 
@@ -95,17 +97,17 @@ def cmd_check(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    with args.out or contextlib.nullcontext():
-        report = scan(args.degree_max, args.branch_points_max, _budget(args), jobs=args.jobs)
+    report = scan(args.degree_max, args.branch_points_max, _budget(args), jobs=args.jobs)
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext() as out:
         for row in report.rows:
-            print(_dump(row), file=args.out)  # None prints to standard output
+            print(_dump(row), file=out)  # None prints to standard output
     for line in report.summary_lines():
         print(line, file=sys.stdout if args.out else sys.stderr)
     return 3 if report.disagreements else 0
 
 
 def cmd_family(args) -> int:
-    engine = DecisionEngine(_budget(args)) if args.emit_verdicts else None
+    engine = DecisionEngine() if args.emit_verdicts else None
     count = 0
     for datum, rule in family_instances(args.s, args.k, args.t):
         count += 1
@@ -127,7 +129,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    results = run_corpus(_budget(args))
+    results = run_corpus()
     failures = 0
     for result in results:
         mark = "ok  " if result.ok else "FAIL"
@@ -179,12 +181,10 @@ def build_parser() -> _Parser:
     family.add_argument("--k", type=int, required=True, help="uniform fiber length (>= 2)")
     family.add_argument("--t", type=int, required=True, help="number of free partitions")
     family.add_argument("--emit-verdicts", action="store_true")
-    _add_budget_flags(family)
     family.set_defaults(func=cmd_family)
 
     corpus = sub.add_parser("corpus", help="run the embedded regression corpus")
     corpus.add_argument("--format", choices=("text", "json"), default="text")
-    _add_budget_flags(corpus)
     corpus.set_defaults(func=cmd_corpus)
     return parser
 

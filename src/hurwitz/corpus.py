@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .engine import DecisionEngine
-from .oracle import SearchBudget
 from .partitions import parse_datum, rh_defect
 from .verdicts import Verdict
 
@@ -49,9 +48,9 @@ def load_corpus() -> tuple[CorpusEntry, ...]:
     return tuple(entries)
 
 
-def run_corpus(budget: SearchBudget | None = None) -> list[CorpusResult]:
+def run_corpus() -> list[CorpusResult]:
     """Decide every corpus entry and compare with its recorded verdict."""
-    engine = DecisionEngine(budget)
+    engine = DecisionEngine()
     results = []
     for entry in load_corpus():
         verdict = engine.decide(entry.datum_text)

@@ -43,7 +43,6 @@ from itertools import combinations
 from typing import Iterator
 
 from .partitions import CandidateDatum, Partition, _length_multisets, rh_defect
-from .verdicts import EXCEPTIONAL, REALIZABLE, Verdict
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,12 +219,12 @@ def corollary_filter(datum: CandidateDatum, matches: tuple[StructureMatch, ...])
     return reports
 
 
-def songxu_decide(k: int, x: int, y: int, first: Partition) -> Verdict:
-    """Closed-form decision for the double-cover family.
+def songxu_decide(k: int, x: int, y: int, first: Partition) -> bool:
+    """Closed-form decision for the double-cover family: whether it is realizable.
 
     Realizable iff ``first`` splits into two partitions of k (decided by
-    :func:`_splits_in_half`) and k / gcd(first) >= max(x, y).  The method
-    tag is ``songxu``; no certificate is attached at this level.
+    :func:`_splits_in_half`) and k / gcd(first) >= max(x, y).  No
+    certificate is built; the engine certifies a realizable answer itself.
     """
     if k < 3:
         raise ValueError("k must be at least 3")
@@ -235,8 +234,7 @@ def songxu_decide(k: int, x: int, y: int, first: Partition) -> Verdict:
         raise ValueError(f"first partition must have {x + y} parts, has {len(first)}")
     if first.total != 2 * k:
         raise ValueError(f"first partition must sum to {2 * k}, sums to {first.total}")
-    ok = _splits_in_half(first, k) and k >= first.gcd() * max(x, y)
-    return Verdict(REALIZABLE if ok else EXCEPTIONAL, "songxu")
+    return _splits_in_half(first, k) and k >= first.gcd() * max(x, y)
 
 
 def _splits_in_half(first: Partition, k: int) -> bool:

@@ -22,12 +22,11 @@ The engine decides a datum by the cheapest sufficient means, in order:
      Each draw is charged as one node of the budget.
 
 Every engine memoizes its verdicts on the normalized datum, and the
-reduction splits it has built on (source, piece count, child degree).
+reduction splits it has built on (source, piece count).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
@@ -77,14 +76,9 @@ class DecisionEngine:
         """Decide a datum (or datum text); stats cover this call including recursion."""
         if isinstance(datum, str):
             datum = parse_datum(datum)
-        start = time.perf_counter()
         nodes0, hits0 = self._nodes, self._cache_hits
         core = self._lookup(datum)
-        stats = DecisionStats(
-            nodes=self._nodes - nodes0,
-            cache_hits=self._cache_hits - hits0,
-            millis=int((time.perf_counter() - start) * 1000),
-        )
+        stats = DecisionStats(nodes=self._nodes - nodes0, cache_hits=self._cache_hits - hits0)
         return replace(core, stats=stats)
 
     def _lookup(self, datum: CandidateDatum) -> Verdict:
@@ -108,7 +102,7 @@ class DecisionEngine:
             return Verdict(EXCEPTIONAL, f"filter:{reports[0].rule}", reasons=reports)
 
         shape = match_songxu_shape(datum)
-        if shape is not None and songxu_decide(*shape).status == EXCEPTIONAL:
+        if shape is not None and not songxu_decide(*shape):
             return Verdict(EXCEPTIONAL, "songxu")
 
         verdict = self._try_reductions(datum, matches)
@@ -234,7 +228,7 @@ def verify(verdict: Verdict, datum: CandidateDatum) -> bool:
             return rule in {r.rule for r in fired}
         if method == "songxu":
             shape = match_songxu_shape(datum)
-            return shape is not None and songxu_decide(*shape).status == EXCEPTIONAL
+            return shape is not None and not songxu_decide(*shape)
         if method.startswith("reduction:") or method == "oracle":
             return rh_defect(datum) == 0
         return False
@@ -309,15 +303,13 @@ def _scan_one(task: tuple[str, SearchBudget]) -> tuple[dict, dict]:
     (jsonl row, the status, disagreement and audit the row lacks).
 
     Each candidate gets a fresh engine so row content is independent of
-    scheduling, and the volatile ``millis`` stat is zeroed: deterministic
-    scans must be byte-identical across runs.
+    scheduling: deterministic scans must be byte-identical across runs.
     """
     text, budget = task
     datum = parse_datum(text)
     verdict = DecisionEngine(budget).decide(datum)
     oracle_verdict = oracle_mod.decide(datum, budget)
     row = verdict.to_json(datum, input_text=text)
-    row["stats"]["millis"] = 0
     row["oracle_status"] = oracle_verdict.status
     meta = {
         "status": oracle_verdict.status if verdict.status == UNKNOWN else verdict.status,

@@ -69,7 +69,6 @@ that runs both compares two independent methods on realizable data.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 
 from .partitions import CandidateDatum, rh_defect
@@ -532,22 +531,17 @@ def decide(datum: CandidateDatum, budget: SearchBudget | None = None) -> Verdict
     if datum.degree > budget.max_degree:
         return Verdict(UNKNOWN, "oracle", limit=LIMIT_DEGREE)
 
-    start = time.perf_counter()
     if len(datum.partitions) < 3:
-        return Verdict(REALIZABLE, "oracle", certificate=two_point_witness(datum),
-                       stats=_stats(0, start))
+        return Verdict(REALIZABLE, "oracle", certificate=two_point_witness(datum))
 
     search = _TupleSearch(datum, budget)
     try:
         witness = search.run()
     except BudgetExhausted:
-        return Verdict(UNKNOWN, "oracle", limit=LIMIT_BUDGET, stats=_stats(search.nodes, start))
+        return Verdict(UNKNOWN, "oracle", limit=LIMIT_BUDGET, stats=DecisionStats(nodes=search.nodes))
+    stats = DecisionStats(nodes=search.nodes)
     if witness is not None:
         if not check_witness(datum, witness):
             raise RuntimeError(f"search produced an invalid witness for {datum}")
-        return Verdict(REALIZABLE, "oracle", certificate=witness, stats=_stats(search.nodes, start))
-    return Verdict(EXCEPTIONAL, "oracle", stats=_stats(search.nodes, start))
-
-
-def _stats(nodes: int, start: float) -> DecisionStats:
-    return DecisionStats(nodes=nodes, millis=int((time.perf_counter() - start) * 1000))
+        return Verdict(REALIZABLE, "oracle", certificate=witness, stats=stats)
+    return Verdict(EXCEPTIONAL, "oracle", stats=stats)

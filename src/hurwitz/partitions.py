@@ -210,20 +210,20 @@ def merged(partitions: Iterable[Partition]) -> Partition:
     return Partition.of(parts)
 
 
-def decompose(partition: Partition, count: int, total: int) -> tuple[tuple[Partition, ...], ...]:
-    """All distinct unordered splits of ``partition`` into ``count`` groups summing to ``total``.
+def decompose(partition: Partition, count: int) -> tuple[tuple[Partition, ...], ...]:
+    """All distinct unordered splits of ``partition`` into ``count`` groups of equal total.
 
-    Each split is a tuple of groups in sort-key order.  Groups may be
-    trivial (all ones).  Returns the empty tuple when no split exists, e.g.
-    when some part exceeds ``total``.  One rule makes every split appear
+    ``count`` must be positive and divide the total, else ValueError.  Each
+    split is a tuple of groups in sort-key order.  Groups may be trivial
+    (all ones).  Returns the empty tuple when no split exists, e.g. when
+    some part exceeds a group's total.  One rule makes every split appear
     once: the groups are filled one at a time, each starts with the largest
     part left, and none is lexicographically greater than the group before
     it, so a split is built only with its groups in non-increasing order.
     """
-    if count < 1 or total < 1:
-        raise ValueError("count and total must be positive")
-    if count * total != partition.total:
-        raise ValueError(f"{count} groups of {total} cannot reassemble a total of {partition.total}")
+    if count < 1 or partition.total % count:
+        raise ValueError(f"{count} equal groups cannot reassemble a total of {partition.total}")
+    total = partition.total // count
 
     parts = partition.parts
     free = [True] * len(parts)

@@ -26,8 +26,8 @@ from .oracle import ConstellationWitness
 from .partitions import CandidateDatum, Partition, decompose, merged, rh_defect
 
 
-# (source, piece count, child degree) -> every split, as decompose returns it
-Splits = dict[tuple[Partition, int, int], tuple[tuple[Partition, ...], ...]]
+# (source, piece count) -> every split, as decompose returns it
+Splits = dict[tuple[Partition, int], tuple[tuple[Partition, ...], ...]]
 
 
 class StepReplayError(ValueError):
@@ -169,7 +169,7 @@ def _children(
     order; each source is divided by its role's scale and split into its
     piece count.  Empty when some role has no split.  A one-piece role
     (thm1's pair) is its own only split, so it skips :func:`decompose`.
-    ``splits`` maps (source, count, u) to that source's splits: a miss calls
+    ``splits`` maps (source, count) to that source's splits: a miss calls
     :func:`decompose` and stores its answer, so one dict shared by many calls
     builds each split once.  Without one, the call gets a fresh dict.
     """
@@ -191,9 +191,9 @@ def _children(
         if count == 1:
             options = [(source,)]
         else:
-            options = splits.get((source, count, u))
+            options = splits.get((source, count))
             if options is None:
-                options = splits[source, count, u] = decompose(source, count, u)
+                options = splits[source, count] = decompose(source, count)
         if not options:
             return
         option_lists.append(options)

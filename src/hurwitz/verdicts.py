@@ -20,10 +20,9 @@ LIMIT_BUDGET = "budget"
 class DecisionStats:
     nodes: int = 0
     cache_hits: int = 0
-    millis: int = 0
 
     def to_json(self) -> dict[str, int]:
-        return {"nodes": self.nodes, "cache_hits": self.cache_hits, "millis": self.millis}
+        return {"nodes": self.nodes, "cache_hits": self.cache_hits}
 
 
 @dataclass(slots=True)

@@ -191,12 +191,12 @@ def test_criterion_songxu_agreement():
                     if len(parts) != x + y:
                         continue
                     first = Partition(parts)
-                    closed = songxu_decide(k, x, y, first).status
+                    closed = REALIZABLE if songxu_decide(k, x, y, first) else EXCEPTIONAL
                     datum = songxu_datum(k, x, y, first)
                     if closed != oracle_status(datum):
                         mismatches.append((k, x, y, str(first)))
                     checked += 1
-    gcd_case = songxu_decide(4, 3, 1, Partition.of([2, 2, 2, 2])).status == EXCEPTIONAL
+    gcd_case = not songxu_decide(4, 3, 1, Partition.of([2, 2, 2, 2]))
     elapsed = time.perf_counter() - start
     _criterion(
         "songxu-agreement",
@@ -207,7 +207,9 @@ def test_criterion_songxu_agreement():
 
 def test_criterion_family_regression():
     """Every generated family instance (s=2, k in {3,4}, t=2, big part) trips
-    cor1.parts and is confirmed exceptional by the search."""
+    cor1.parts and is confirmed exceptional by the search.  Every instance
+    with s*k <= 24 and t <= 2 is decided by a filter with no search node, so
+    the family command needs no budget."""
     total = 0
     failures = []
     for k in (3, 4):
@@ -221,9 +223,20 @@ def test_criterion_family_regression():
                 failures.append(f"{datum.render()} missing {rule}")
             if oracle_status(datum) != EXCEPTIONAL:
                 failures.append(f"{datum.render()} not exceptional")
+    filtered = 0
+    engine = DecisionEngine()
+    for s in range(2, 13):
+        for k in range(2, 24 // s + 1):
+            for t in (1, 2):
+                for datum, rule in family_instances(s, k, t):
+                    filtered += 1
+                    verdict = engine.decide(datum)
+                    if not (verdict.method.startswith("filter:") and verdict.stats.nodes == 0
+                            and rule in {r.rule for r in verdict.reasons}):
+                        failures.append(f"{datum.render()} decided by {verdict.method}")
     _criterion(
-        "family-regression", total >= 5 and not failures,
-        f"{total} instances across degrees 6 and 8",
+        "family-regression", total >= 5 and filtered == 2642 and not failures,
+        f"{total} instances across degrees 6 and 8; {filtered} filtered with s*k <= 24",
     )
 
 
@@ -237,7 +250,7 @@ def test_criterion_decompose_oracle_equivalence():
         total = sum(parts)
         count = rng.choice([m for m in (1, 2, 3, 4) if total % m == 0])
         source = Partition(parts)
-        mine = {tuple(g.parts for g in groups) for groups in decompose(source, count, total // count)}
+        mine = {tuple(g.parts for g in groups) for groups in decompose(source, count)}
         if mine != naive_splits(parts, count, total // count):
             mismatches += 1
     _criterion("decompose-oracle-equivalence", mismatches == 0, "1000 random multisets")

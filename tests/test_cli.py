@@ -52,7 +52,7 @@ def test_check_json_fields(capsys):
     assert payload["partitions"] == [[5, 3], [2, 2, 2, 2], [3, 2, 2, 1]]
     assert payload["certificate"]["type"] == "witness"
     assert len(payload["certificate"]["perms"]) == 3
-    assert set(payload["stats"]) == {"nodes", "cache_hits", "millis"}
+    assert set(payload["stats"]) == {"nodes", "cache_hits"}
     assert payload["input"] == "8: [5,3] [2,2,2,2] [3,2,2,1]"
 
 
@@ -129,6 +129,20 @@ def test_scan_unopenable_out_is_a_usage_error_before_scanning(tmp_path, monkeypa
               "--out", str(tmp_path / "missing" / "rows.jsonl")])
     assert err.value.code == 1
     assert "--out" in capsys.readouterr().err
+
+
+def test_scan_usage_errors_leave_an_existing_out_file_unchanged(tmp_path):
+    out = tmp_path / "rows.jsonl"
+    out.write_bytes(b"kept\n")
+    scan_args = ["scan", "--out", str(out), "--branch-points-max", "3"]
+    for extra in (["--degree-max", "abc"], ["--degree-max", "4", "--max-nodes", "0"],
+                  ["--degree-max", "4", "--jobs", "0"]):
+        try:
+            code = main(scan_args + extra)
+        except SystemExit as exc:  # argparse rejects the value itself
+            code = exc.code
+        assert code == 1, extra
+        assert out.read_bytes() == b"kept\n", extra
 
 
 def test_closed_stdout_exits_1_silently():

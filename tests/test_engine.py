@@ -335,9 +335,9 @@ def test_engine_builds_each_split_once(monkeypatch):
     calls = []
     real_decompose = reduction_mod.decompose
 
-    def counting_decompose(partition, count, total):
-        calls.append((partition, count, total))
-        return real_decompose(partition, count, total)
+    def counting_decompose(partition, count):
+        calls.append((partition, count))
+        return real_decompose(partition, count)
 
     monkeypatch.setattr(reduction_mod, "decompose", counting_decompose)
     data = ([parse_datum(entry.datum_text) for entry in load_corpus()]

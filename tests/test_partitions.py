@@ -128,20 +128,20 @@ def test_divided():
 
 
 def test_decompose_examples():
-    assert decompose(P(3, 3), 2, 3) == ((P(3), P(3)),)
-    assert decompose(P(3, 1), 2, 2) == ()
-    assert decompose(P(4, 2, 1, 1), 2, 4) == ((P(4), P(2, 1, 1)),)
-    assert decompose(P(2, 2, 1, 1), 2, 3) == ((P(2, 1), P(2, 1)),)
+    assert decompose(P(3, 3), 2) == ((P(3), P(3)),)
+    assert decompose(P(3, 1), 2) == ()
+    assert decompose(P(4, 2, 1, 1), 2) == ((P(4), P(2, 1, 1)),)
+    assert decompose(P(2, 2, 1, 1), 2) == ((P(2, 1), P(2, 1)),)
 
 
 def test_decompose_rejects_bad_shape():
     with pytest.raises(ValueError):
-        decompose(P(3, 3), 2, 2)
+        decompose(P(3, 2), 2)
 
 
 def test_decompose_soundness_and_length_conservation():
     source = P(4, 3, 2, 2, 1)
-    for groups in decompose(source, 3, 4):
+    for groups in decompose(source, 3):
         assert merged(groups) == source
         assert all(g.total == 4 for g in groups)
         assert sum(len(g) for g in groups) == len(source)
@@ -155,8 +155,8 @@ def test_decompose_matches_naive_oracle_random():
         total = sum(parts)
         count = rng.choice([m for m in (1, 2, 3, 4) if total % m == 0])
         source = Partition(parts)
-        got = {tuple(g.parts for g in groups) for groups in decompose(source, count, total // count)}
-        assert len(got) == len(decompose(source, count, total // count))  # no duplicates
+        got = {tuple(g.parts for g in groups) for groups in decompose(source, count)}
+        assert len(got) == len(decompose(source, count))  # no duplicates
         assert got == naive_splits(parts, count, total // count)
 
 
@@ -167,7 +167,7 @@ def test_decompose_matches_naive_oracle_exhaustive():
             for count in range(1, 6):
                 if total % count:
                     continue
-                splits = decompose(Partition(parts), count, total // count)
+                splits = decompose(Partition(parts), count)
                 got = {tuple(g.parts for g in groups) for groups in splits}
                 assert len(got) == len(splits), (parts, count)  # no split twice
                 assert got == naive_splits(parts, count, total // count), (parts, count)
@@ -177,12 +177,12 @@ def test_decompose_matches_naive_oracle_exhaustive():
 
 def test_decompose_order_is_pinned():
     # the engine tries reduction children in this order, so it picks the chain
-    assert decompose(P(4, 3, 2, 2, 1, 1, 1), 2, 7) == (
+    assert decompose(P(4, 3, 2, 2, 1, 1, 1), 2) == (
         (P(4, 3), P(2, 2, 1, 1, 1)),
         (P(4, 2, 1), P(3, 2, 1, 1)),
         (P(3, 2, 2), P(4, 1, 1, 1)),
     )
-    assert decompose(P(3, 3, 2, 2, 1, 1, 1, 1, 1), 3, 5) == (
+    assert decompose(P(3, 3, 2, 2, 1, 1, 1, 1, 1), 3) == (
         (P(3, 2), P(3, 2), P(1, 1, 1, 1, 1)),
         (P(3, 2), P(3, 1, 1), P(2, 1, 1, 1)),
         (P(2, 2, 1), P(3, 1, 1), P(3, 1, 1)),
