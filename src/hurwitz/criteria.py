@@ -250,10 +250,8 @@ def _splits_in_half(first: Partition, k: int) -> bool:
     return bool(sums >> k & 1)
 
 
-def _half_uniform_excess(p: Partition, k: int) -> int | None:
-    """If ``p`` is [2,...,2,2y] of total 2k, return y; else None."""
-    if p.total != 2 * k:
-        return None
+def _half_uniform_excess(p: Partition) -> int | None:
+    """If ``p`` is [2,...,2,2y], return y; else None."""
     big = [a for a in p.parts if a != 2]
     if not big:
         return 1
@@ -270,8 +268,8 @@ def match_songxu_shape(datum: CandidateDatum) -> tuple[int, int, int, Partition]
     ps = datum.partitions
     for a, b in ((0, 1), (0, 2), (1, 2)):
         rest = 3 - a - b
-        y = _half_uniform_excess(ps[a], k)
-        x = _half_uniform_excess(ps[b], k)
+        y = _half_uniform_excess(ps[a])
+        x = _half_uniform_excess(ps[b])
         if y is None or x is None:
             continue
         first = ps[rest]

@@ -5,7 +5,7 @@ The engine decides a datum by the cheapest sufficient means, in order:
   1. unbalanced data are exceptional outright (method ``rh``);
   2. the balanced data with fewer than three partitions, degree 1 and
      [d] [d], are realizable directly by their two-point witness
-     (``base-case``);
+     (``base-case``), or unknown above ``TWO_POINT_DEGREE_MAX``;
   3. the datum's structures are detected once; the necessary-condition
      filters reject structured data violating a bound (``filter:<rule>``);
   4. data matching the double-cover family shape get the closed-form
@@ -94,6 +94,8 @@ class DecisionEngine:
         if rh_defect(datum) != 0:
             return Verdict(EXCEPTIONAL, "rh")
         if len(datum.partitions) < 3:
+            if datum.degree > oracle_mod.TWO_POINT_DEGREE_MAX:
+                return Verdict(UNKNOWN, "base-case", limit=LIMIT_DEGREE)
             return Verdict(REALIZABLE, "base-case", certificate=oracle_mod.two_point_witness(datum))
 
         matches = detect_structures(datum)
@@ -197,13 +199,13 @@ def verify(verdict: Verdict, datum: CandidateDatum) -> bool:
     """Re-check a verdict from scratch; False on any inconsistency.
 
     Certificates are fully re-verified (witness invariants, chain replay and
-    linkage, base certificate).  Filter, balance, and closed-form verdicts
-    are re-derived; the filters hold only provable bounds, so a filter
-    verdict naming a rule that does not fire is rejected, and so is one
-    naming a corollary length rule, which balance makes redundant and the
-    filters no longer check.  No base case is exceptional.  Exceptional
-    verdicts from the search or a reduction carry no certificate; for those
-    only structural consistency is checked.
+    linkage, base certificate).  Only ``rh`` is exceptional on unbalanced
+    data, and nothing on a base case.  Filter and closed-form verdicts are
+    re-derived; the filters hold only provable bounds, so a filter verdict
+    naming a rule that does not fire is rejected, and so is one naming a
+    corollary length rule, which balance makes redundant and the filters no
+    longer check.  Exceptional verdicts from the search or a reduction carry
+    no certificate; for those only balance and three partitions are checked.
     A malformed certificate is rejected: a witness of the wrong lengths or
     with images that are not a permutation of integers, or a chain whose
     steps, step fields or base are of the wrong type.  An exception raised
@@ -221,6 +223,8 @@ def verify(verdict: Verdict, datum: CandidateDatum) -> bool:
         method = verdict.method
         if method == "rh":
             return rh_defect(datum) != 0
+        if rh_defect(datum) != 0 or len(datum.partitions) < 3:
+            return False
         if method.startswith("filter:"):
             rule = method.split(":", 1)[1]
             matches = detect_structures(datum)
@@ -229,9 +233,7 @@ def verify(verdict: Verdict, datum: CandidateDatum) -> bool:
         if method == "songxu":
             shape = match_songxu_shape(datum)
             return shape is not None and not songxu_decide(*shape)
-        if method.startswith("reduction:") or method == "oracle":
-            return rh_defect(datum) == 0
-        return False
+        return method.startswith("reduction:") or method == "oracle"
     if verdict.status == UNKNOWN:
         return verdict.limit in (LIMIT_DEGREE, LIMIT_BUDGET)
     return False
@@ -298,29 +300,20 @@ def _strict_audit(datum: CandidateDatum, matches: tuple[StructureMatch, ...]) ->
     )
 
 
-def _scan_one(task: tuple[str, SearchBudget]) -> tuple[dict, dict]:
+def _scan_one(task: tuple[str, SearchBudget]) -> tuple[dict, bool]:
     """Decide one candidate by the pipeline and by the search alone; returns
-    (jsonl row, the status, disagreement and audit the row lacks).
+    the jsonl row, which holds both statuses, and whether the audit flags it.
 
     Each candidate gets a fresh engine so row content is independent of
     scheduling: deterministic scans must be byte-identical across runs.
     """
     text, budget = task
     datum = parse_datum(text)
-    verdict = DecisionEngine(budget).decide(datum)
-    oracle_verdict = oracle_mod.decide(datum, budget)
-    row = verdict.to_json(datum, input_text=text)
-    row["oracle_status"] = oracle_verdict.status
-    meta = {
-        "status": oracle_verdict.status if verdict.status == UNKNOWN else verdict.status,
-        "disagree": {verdict.status, oracle_verdict.status} == {REALIZABLE, EXCEPTIONAL},
-        # a filter false positive is already a disagreement
-        "audit": (
-            oracle_verdict.status == REALIZABLE
-            and _strict_audit(datum, detect_structures(datum))
-        ),
-    }
-    return row, meta
+    row = DecisionEngine(budget).decide(datum).to_json(datum, input_text=text)
+    row["oracle_status"] = oracle_mod.decide(datum, budget).status
+    # a filter false positive is already a disagreement
+    audit = row["oracle_status"] == REALIZABLE and _strict_audit(datum, detect_structures(datum))
+    return row, audit
 
 
 def scan(
@@ -355,15 +348,16 @@ def scan(
     else:
         results = [_scan_one(task) for task in tasks]
 
-    for row, meta in results:
+    for row, audit in results:
         report.rows.append(row)
+        status = row["oracle_status"] if row["status"] == UNKNOWN else row["status"]
         key = (row["degree"], len(row["partitions"]))
         cell = report.counts.setdefault(key, {})
-        cell[meta["status"]] = cell.get(meta["status"], 0) + 1
+        cell[status] = cell.get(status, 0) + 1
         methods = report.methods.setdefault(key, {})
         methods[row["method"]] = methods.get(row["method"], 0) + 1
-        if meta["disagree"]:
+        if {row["status"], row["oracle_status"]} == {REALIZABLE, EXCEPTIONAL}:
             report.disagreements.append(row["input"])
-        if meta["audit"]:
+        if audit:
             report.audit.append(row["input"])
     return report

@@ -440,6 +440,10 @@ class _TupleSearch:
         return ConstellationWitness(self.degree, tuple(tuple(p) for p in perms))
 
 
+# two-point witnesses are built up to this degree; at d = 10**6 one takes ~300 MB
+TWO_POINT_DEGREE_MAX = 100_000
+
+
 def two_point_witness(datum: CandidateDatum) -> ConstellationWitness:
     """The witness of a balanced datum with at most two partitions.
 
@@ -521,7 +525,8 @@ def decide(datum: CandidateDatum, budget: SearchBudget | None = None) -> Verdict
 
     Requires a balanced datum.  Degrees above ``budget.max_degree`` return
     unknown("degree-limit") without searching, and data with fewer than
-    three partitions get :func:`two_point_witness`; running out of nodes returns
+    three partitions get :func:`two_point_witness`, or unknown("degree-limit")
+    above ``TWO_POINT_DEGREE_MAX``; running out of nodes returns
     unknown("budget").  An exceptional verdict means the search space was
     exhausted.
     """
@@ -532,6 +537,8 @@ def decide(datum: CandidateDatum, budget: SearchBudget | None = None) -> Verdict
         return Verdict(UNKNOWN, "oracle", limit=LIMIT_DEGREE)
 
     if len(datum.partitions) < 3:
+        if datum.degree > TWO_POINT_DEGREE_MAX:
+            return Verdict(UNKNOWN, "oracle", limit=LIMIT_DEGREE)
         return Verdict(REALIZABLE, "oracle", certificate=two_point_witness(datum))
 
     search = _TupleSearch(datum, budget)

@@ -159,7 +159,10 @@ def parse_datum(text: str) -> CandidateDatum:
             i += 1
         if i == start:
             raise DatumParseError(f"expected {what}", start)
-        value = int(text[start:i])
+        try:
+            value = int(text[start:i])
+        except ValueError:  # more digits than the interpreter converts
+            raise DatumParseError(f"{what} has too many digits", start) from None
         if value == 0:
             raise DatumParseError(f"{what} must be positive, got 0", start)
         return value

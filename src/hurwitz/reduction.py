@@ -104,8 +104,10 @@ def replay(step: ReductionStep) -> CandidateDatum:
     inconsistency: a field of the wrong type, an ``s`` or ``t`` the theorem
     does not take, a role it lacks, wrong piece counts, records out of index
     order, other than two pair-role records (and one third where the theorem
-    has a third role), a rebuilt partition not at its index, or a child that
-    does not match the pieces.
+    has a third role), a rebuilt partition not at its index, a child that
+    does not match the pieces, or an unbalanced parent.  The child is then
+    balanced: each role's scale times piece count is one K = d/u, so its N
+    pieces satisfy N - 2 = (n - 2)K and its balance equation is the parent's.
     """
     if not (type(step.theorem) is str and step.theorem in _ARITY):
         raise StepReplayError(f"unknown theorem {step.theorem!r}")
@@ -151,8 +153,8 @@ def replay(step: ReductionStep) -> CandidateDatum:
     parent = CandidateDatum.make(sources[0].total, sources)
     if parent.partitions != tuple(sources):
         raise StepReplayError("a rebuilt partition is not the parent's at its record's index")
-    if rh_defect(parent) != 0 or rh_defect(step.child) != 0:
-        raise StepReplayError("replayed data are not balanced")
+    if rh_defect(parent) != 0:
+        raise StepReplayError("the replayed parent is not balanced")
     return parent
 
 
@@ -164,7 +166,8 @@ def _children(
 
     The datum must be balanced and ``match.reductions`` must hold a row for
     ``theorem``, ``third`` and ``t``; the child degree u is that row's.
-    Otherwise iterating raises a ValueError.  The roles are pair i, pair j,
+    Otherwise iterating raises a ValueError.  The children are then balanced
+    (see :func:`replay`).  The roles are pair i, pair j,
     the third (if any), then the other partitions in ``match.other_gcds``
     order; each source is divided by its role's scale and split into its
     piece count.  Empty when some role has no split.  A one-piece role
@@ -205,7 +208,6 @@ def _children(
         seen.add(child)
         records = sorted((SplitRecord(m, role, groups) for (m, role), groups in zip(slots, combo)),
                          key=lambda rec: rec.index)
-        assert rh_defect(child) == 0
         yield ReductionStep(theorem, s, t, tuple(records), child)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from hurwitz import cli
 from hurwitz.cli import main
+from hurwitz.corpus import load_corpus
 
 
 def test_check_expect_match(capsys):
@@ -117,6 +118,17 @@ def test_family_empty_warns(capsys):
 def test_corpus_command(capsys):
     assert main(["corpus"]) == 0
     assert "corpus entries matched" in capsys.readouterr().out
+
+
+def test_corpus_json_lines(capsys):
+    assert main(["corpus", "--format", "json"]) == 0
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert summary.endswith("corpus entries matched")
+    assert len(lines) == len(load_corpus())
+    for line in lines:
+        row = json.loads(line)
+        assert set(row) == {"datum", "expected", "status", "method", "ok", "source"}, line
+        assert row["ok"] is True, line
 
 
 def test_scan_unopenable_out_is_a_usage_error_before_scanning(tmp_path, monkeypatch, capsys):

@@ -257,10 +257,34 @@ def test_verify_exceptional_methods():
 
 
 def test_verify_rejects_exceptional_base_case():
-    # no base case is exceptional: these three are realizable
-    for datum in (CandidateDatum.make(1, []), D("2: [2] [2]"), D("5: [5] [5]")):
+    # no base case is exceptional: these four are realizable, and no
+    # exceptional method but rh is accepted on one
+    for datum in (CandidateDatum.make(1, []), D("2: [2] [2]"), D("4: [4] [4]"), D("5: [5] [5]")):
         assert decide(datum).status == REALIZABLE
-        assert not verify(Verdict(EXCEPTIONAL, "base-case"), datum)
+        for method in ("base-case", "oracle", "reduction:thm1", "filter:cor1.parts", "songxu"):
+            assert not verify(Verdict(EXCEPTIONAL, method), datum), (datum.render(), method)
+
+
+def test_verify_rejects_exceptional_claims_on_unbalanced_data():
+    # only rh is exceptional on unbalanced data; a forged filter claim is
+    # False, not an error from structure detection
+    for text in ("6: [2,2,2] [2,2,2] [4,1,1]", "5: [5]"):
+        datum = D(text)
+        assert decide(datum).method == "rh"
+        assert verify(Verdict(EXCEPTIONAL, "rh"), datum)
+        for method in ("filter:cor1.parts", "oracle", "reduction:thm1", "songxu"):
+            assert verify(Verdict(EXCEPTIONAL, method), datum) is False, (text, method)
+
+
+def test_two_point_datum_above_the_degree_bound_is_unknown():
+    # the witness of [d] [d] holds two d-cycles, so above the bound none is built
+    assert oracle_mod.TWO_POINT_DEGREE_MAX == 100_000
+    d = oracle_mod.TWO_POINT_DEGREE_MAX + 1
+    datum = D(f"{d}: [{d}] [{d}]")
+    big = SearchBudget(max_degree=2 * d)
+    for verdict in (decide(datum, big), oracle_decide(datum, big)):
+        assert (verdict.status, verdict.limit, verdict.certificate) == (UNKNOWN, "degree-limit", None)
+        assert verify(verdict, datum)
 
 
 def test_verify_rejects_strict_only_filter_verdict():

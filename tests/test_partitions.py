@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -75,6 +76,11 @@ def test_parse_zero_and_degree_errors():
     assert err.value.position == 0
     with pytest.raises(DatumParseError):
         parse_datum("4: [2,-2]")
+    if hasattr(sys, "get_int_max_str_digits"):  # the interpreter caps int() of long strings
+        for text, where in (("9" * 5000 + ": [1]", 0), ("4: [" + "9" * 5000 + "]", 4)):
+            with pytest.raises(DatumParseError, match="has too many digits") as err:
+                parse_datum(text)
+            assert err.value.position == where
 
 
 def test_render_roundtrip_idempotent():

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from hurwitz.criteria import detect_structures
+from hurwitz.criteria import _ANY, _ARITY, ROLE_PAIR, ROLE_THIRD, _shape, detect_structures
 from hurwitz.oracle import decide as oracle_decide
 from hurwitz.partitions import CandidateDatum, Partition, parse_datum, rh_defect
 from hurwitz.reduction import (
@@ -246,5 +246,25 @@ def test_every_plan_step_replays():
                 for plan in _reduction_plans(detect_structures(datum)):
                     for step in _plan_children(datum, plan, splits):
                         assert replay(step) == datum, (datum.render(), step.theorem)
+                        assert rh_defect(step.child) == 0
                         counts[step.theorem] += 1
     assert counts == {"thm1": 2673, "thm2": 45, "thm3": 1}
+
+
+def test_table_keeps_every_child_of_a_balanced_parent_balanced():
+    # in every row the table takes, with s, t <= 12: each role's scale times
+    # piece count is one K = d/u, and 2(pair pieces - 1) + (third pieces - K)
+    # = 0.  So a parent of n partitions gives N = (n - 2)K + 2 pieces before
+    # trivial ones are dropped; the lengths are kept, so the child's balance
+    # equation, total length = (N - 2)u + 2, is the parent's, and dropping a
+    # trivial piece takes u from both sides
+    rows = 0
+    for theorem, (fixed_s, fixed_t, _) in _ARITY.items():
+        for s in range(2, 13) if fixed_s == _ANY else (fixed_s,):
+            for t in range(2, 13) if fixed_t == _ANY else (fixed_t,):
+                shape = _shape(theorem, s, t)
+                (k,) = {scale * count for scale, count in shape.values()}
+                third = shape[ROLE_THIRD][1] - k if ROLE_THIRD in shape else 0
+                assert 2 * (shape[ROLE_PAIR][1] - 1) + third == 0, (theorem, s, t)
+                rows += 1
+    assert rows == 11 + 11 + 1
