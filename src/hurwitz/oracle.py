@@ -77,11 +77,9 @@ from .perms import (
     canonical_of_type,
     class_size,
     cycle_string,
-    cycle_type,
     cycles,
     identity,
     inverse,
-    is_perm,
     is_transitive,
     product,
 )
@@ -136,26 +134,40 @@ class ConstellationWitness:
 
 
 def check_witness(datum: CandidateDatum, witness: ConstellationWitness) -> bool:
-    """Re-verify a witness from scratch: types, identity product, transitivity.
+    """Re-verify a witness from scratch: cycle types, identity product, transitivity.
 
     A malformed witness is rejected: the wrong number of permutations, or one
     that is not a sequence of ``degree`` integer images permuting 0..d-1.
+    One walk per permutation finds a repeated image (a walk ending off its
+    start) and spends a part of its partition per cycle.
     """
+    d = datum.degree
     perms = witness.perms
-    if witness.degree != datum.degree:
-        return False
-    if not isinstance(perms, (tuple, list)) or len(perms) != len(datum.partitions):
-        return False
-    if not all(isinstance(p, (tuple, list)) and len(p) == datum.degree for p in perms):
-        return False
-    if not {type(x) for p in perms for x in p} <= {int}:
+    if (witness.degree != d or not isinstance(perms, (tuple, list))
+            or len(perms) != len(datum.partitions)):
         return False
     for p, part in zip(perms, datum.partitions):
-        if not is_perm(p) or cycle_type(p) != part:
+        if not (isinstance(p, (tuple, list)) and len(p) == d and set(map(type, p)) <= {int}
+                and min(p) >= 0 and max(p) < d):
             return False
-    if product(perms, datum.degree) != identity(datum.degree):
+        left = [0] * (d + 1)
+        for length in part.parts:
+            left[length] += 1
+        seen = [False] * d
+        for start in range(d):
+            if seen[start]:
+                continue
+            x, length = start, 0
+            while not seen[x]:
+                seen[x] = True
+                x = p[x]
+                length += 1
+            if x != start or not left[length]:
+                return False
+            left[length] -= 1
+    if product(perms, d) != identity(d):
         return False
-    return is_transitive(witness.perms, datum.degree)
+    return is_transitive(perms, d)
 
 
 class BudgetExhausted(Exception):

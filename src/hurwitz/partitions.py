@@ -5,7 +5,7 @@ Everything downstream works with two immutable values: a :class:`Partition`
 non-increasing tuple) and a :class:`CandidateDatum` (a degree together with
 the nontrivial partitions over all branch points).  This module owns
 parsing, normalization, the sphere branch-balance check, and the
-split/merge algebra that the degree reductions run on.
+split algebra that the degree reductions run on.
 """
 
 from __future__ import annotations
@@ -203,14 +203,6 @@ def parse_datum(text: str) -> CandidateDatum:
                 f"partition {Partition.of(parts)} sums to {total}, expected degree {degree}", pos
             )
     return CandidateDatum.make(degree, (parts for _, parts in collected))
-
-
-def merged(partitions: Iterable[Partition]) -> Partition:
-    """Multiset union of several partitions."""
-    parts: list[int] = []
-    for p in partitions:
-        parts.extend(p.parts)
-    return Partition.of(parts)
 
 
 def decompose(partition: Partition, count: int) -> tuple[tuple[Partition, ...], ...]:

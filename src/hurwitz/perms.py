@@ -15,10 +15,6 @@ def identity(degree: int) -> Perm:
     return tuple(range(degree))
 
 
-def is_perm(images: Sequence[int]) -> bool:
-    return sorted(images) == list(range(len(images)))
-
-
 def inverse(p: Perm) -> Perm:
     inv = [0] * len(p)
     for x, y in enumerate(p):
@@ -51,10 +47,6 @@ def cycles(p: Perm) -> list[tuple[int, ...]]:
             x = p[x]
         out.append(tuple(cyc))
     return out
-
-
-def cycle_type(p: Perm) -> Partition:
-    return Partition.of(len(c) for c in cycles(p))
 
 
 def canonical_of_type(t: Partition) -> Perm:

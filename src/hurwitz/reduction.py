@@ -23,7 +23,7 @@ from typing import Iterator
 
 from .criteria import _ANY, _ARITY, ROLE_PAIR, ROLE_THIRD, StructureMatch, _role_slots, _shape
 from .oracle import ConstellationWitness
-from .partitions import CandidateDatum, Partition, decompose, merged, rh_defect
+from .partitions import CandidateDatum, Partition, decompose, rh_defect
 
 
 # (source, piece count) -> every split, as decompose returns it
@@ -36,8 +36,8 @@ class StepReplayError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class SplitRecord:
-    """How the parent partition at ``index`` was fed into the child datum: the
-    partition is its ``role``'s scale times the merged ``pieces``."""
+    """How the parent partition at ``index`` was fed into the child datum: its
+    parts are those of all the ``pieces``, each times its ``role``'s scale."""
 
     index: int
     role: str
@@ -99,15 +99,17 @@ class ReductionChain:
 def replay(step: ReductionStep) -> CandidateDatum:
     """Rebuild and return the parent datum, validating every record.
 
-    A record rebuilds the parent partition at its index as its merged pieces
-    times its role's scale.  Raises :class:`StepReplayError` on any
-    inconsistency: a field of the wrong type, an ``s`` or ``t`` the theorem
-    does not take, a role it lacks, wrong piece counts, records out of index
-    order, other than two pair-role records (and one third where the theorem
-    has a third role), a rebuilt partition not at its index, a child that
-    does not match the pieces, or an unbalanced parent.  The child is then
-    balanced: each role's scale times piece count is one K = d/u, so its N
-    pieces satisfy N - 2 = (n - 2)K and its balance equation is the parent's.
+    A record rebuilds the parent partition at its index once, as its pieces'
+    parts times its role's scale; in index order these must already be the
+    canonical parent, and the child the sorted nontrivial pieces.  Raises
+    :class:`StepReplayError` on any inconsistency: a field of the wrong
+    type, an ``s`` or ``t`` the theorem does not take, a role it lacks,
+    wrong piece counts, records out of index order, other than two pair-role
+    records (and one third where the theorem has a third role), a rebuilt
+    partition not at its index, a child that does not match the pieces, or
+    an unbalanced parent.  The child is then balanced: each role's scale
+    times piece count is one K = d/u, so its N pieces satisfy
+    N - 2 = (n - 2)K and its balance equation is the parent's.
     """
     if not (type(step.theorem) is str and step.theorem in _ARITY):
         raise StepReplayError(f"unknown theorem {step.theorem!r}")
@@ -126,7 +128,7 @@ def replay(step: ReductionStep) -> CandidateDatum:
     shape = _shape(step.theorem, step.s, step.t)
     u = step.child.degree
     sources = []
-    all_pieces: list[Partition] = []
+    nontrivial: list[Partition] = []
     for rec in step.records:
         if not (isinstance(rec, SplitRecord) and type(rec.index) is int
                 and type(rec.role) is str and isinstance(rec.pieces, tuple)):
@@ -139,20 +141,20 @@ def replay(step: ReductionStep) -> CandidateDatum:
         for piece in rec.pieces:
             if not isinstance(piece, Partition) or piece.total != u:
                 raise StepReplayError(f"record {rec.index}: piece {piece} is not a partition of {u}")
-        sources.append(merged(rec.pieces).scaled(scale))
-        all_pieces.extend(rec.pieces)
+        sources.append(Partition.of(scale * x for piece in rec.pieces for x in piece.parts))
+        nontrivial.extend(piece for piece in rec.pieces if not piece.trivial)
     if [rec.index for rec in step.records] != list(range(len(sources))):
         raise StepReplayError("records do not list the parent partitions in index order")
     roles = [rec.role for rec in step.records]
     thirds = int(ROLE_THIRD in shape)
     if roles.count(ROLE_PAIR) != 2 or roles.count(ROLE_THIRD) != thirds:
         raise StepReplayError(f"{step.theorem} needs two pair-role records and {thirds} third")
-    if CandidateDatum.make(u, all_pieces) != step.child:
+    if step.child.partitions != tuple(sorted(nontrivial, key=lambda p: p.sort_key)):
         raise StepReplayError("child datum does not match the recorded pieces")
-    # the table gives every source one total; make() drops an all-ones one
-    parent = CandidateDatum.make(sources[0].total, sources)
-    if parent.partitions != tuple(sources):
-        raise StepReplayError("a rebuilt partition is not the parent's at its record's index")
+    try:
+        parent = CandidateDatum(sources[0].total, tuple(sources))
+    except ValueError:
+        raise StepReplayError("a rebuilt partition is not the parent's at its record's index") from None
     if rh_defect(parent) != 0:
         raise StepReplayError("the replayed parent is not balanced")
     return parent

@@ -7,8 +7,9 @@ enumerates whole conjugacy classes outright with no canonical pinning, no
 cycle-by-cycle construction, and no pruning.  :func:`songxu_datum` builds
 the double-cover family datum that the closed form is checked against,
 :func:`reference_corollaries` states the corollary filter case by case, with
-its length rules, and :func:`from_cycles` and :func:`relabel` build test
-permutations.
+its length rules, :func:`reference_check_witness` reads the witness
+conditions one at a time, and :func:`from_cycles` and :func:`relabel` build
+test permutations.
 """
 
 from __future__ import annotations
@@ -36,6 +37,41 @@ def naive_cycle_lengths(perm: tuple[int, ...]) -> tuple[int, ...]:
             x = perm[x]
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
+
+
+def reference_check_witness(datum: CandidateDatum, witness) -> bool:
+    """The witness conditions one at a time: one sequence of ``degree``
+    integer images per partition, each a bijection by its sorted images, of
+    the partition's cycle type by :func:`naive_cycle_lengths`, the product of
+    all of them the identity, and the orbit of point 0 every point."""
+    degree = datum.degree
+    perms = witness.perms
+    if witness.degree != degree or not isinstance(perms, (tuple, list)):
+        return False
+    if len(perms) != len(datum.partitions):
+        return False
+    for p, part in zip(perms, datum.partitions):
+        if not isinstance(p, (tuple, list)) or len(p) != degree:
+            return False
+        if any(type(x) is not int for x in p) or sorted(p) != list(range(degree)):
+            return False
+        if naive_cycle_lengths(tuple(p)) != part.parts:
+            return False
+    for x in range(degree):
+        y = x
+        for p in reversed(perms):  # the last factor acts first
+            y = p[y]
+        if y != x:
+            return False
+    orbit = {0}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for p in perms:
+            if p[x] not in orbit:
+                orbit.add(p[x])
+                stack.append(p[x])
+    return len(orbit) == degree
 
 
 def naive_splits(parts: tuple[int, ...], count: int, total: int) -> set[tuple[tuple[int, ...], ...]]:

@@ -14,7 +14,6 @@ from hurwitz.partitions import (
     CandidateDatum,
     Partition,
     enumerate_candidates,
-    merged,
     parse_datum,
     rh_defect,
 )
@@ -113,11 +112,15 @@ def test_verify_rejects_malformed_witness():
         (perms[0][:2],) + perms[1:],  # too short
         (perms[0] + (3,),) + perms[1:],  # too long
         ((1.0, 2, 0),) + perms[1:],  # non-integer images
+        ((True, 2, 0),) + perms[1:],
         (("1", "2", "0"),) + perms[1:],
         ((1, 2, None),) + perms[1:],
         ((1, 2, 3),) + perms[1:],  # out of range
         ((1, 2, -1),) + perms[1:],
+        ((-2, 2, 0),) + perms[1:],  # read from the end, -2 would close the 3-cycle (0 1 2)
         ((1, 1, 0),) + perms[1:],  # not a bijection
+        ((1, 2, 1),) + perms[1:],  # the walk from 0 re-enters its own 1, not 0
+        ((1, 0, 1),) + perms[1:],  # the walk from 2 reaches 1, closed by the walk from 0
         (7,) + perms[1:],  # not a sequence
         None,
     ]
@@ -219,7 +222,8 @@ def test_shared_divisor_chains_verify_and_reject_index_swaps():
             recs = step.records
             swap = next(((a, b) for a in range(len(recs)) for b in range(a + 1, len(recs))
                          if recs[a].role == recs[b].role
-                         and merged(recs[a].pieces) != merged(recs[b].pieces)), None)
+                         and sorted(x for p in recs[a].pieces for x in p.parts)
+                         != sorted(x for p in recs[b].pieces for x in p.parts)), None)
             if swap is None:
                 continue
             a, b = swap

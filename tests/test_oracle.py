@@ -17,7 +17,7 @@ from hurwitz.oracle import (
 from hurwitz.partitions import CandidateDatum, Partition, enumerate_candidates, parse_datum
 from hurwitz.perms import inverse
 from hurwitz.verdicts import EXCEPTIONAL, REALIZABLE, UNKNOWN
-from oracles import reference_decide, relabel
+from oracles import reference_check_witness, reference_decide, relabel
 
 
 def D(text):
@@ -464,3 +464,42 @@ def test_reversed_inverse_witness_verifies(datum):
         degree=datum.degree, partitions=tuple(reversed(datum.partitions))
     )
     assert check_witness(reversed_datum, ConstellationWitness(datum.degree, perms))
+
+
+_WITNESSES = {}
+ODD_IMAGES = st.one_of(st.integers(-2, 10), st.sampled_from([True, False, 1.0, 0.5, -0.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_check_witness_agrees_with_reference(data):
+    # a found witness relabelled, or random permutations, then damaged: an
+    # image set to any int (out of range, negative, or a second preimage,
+    # which re-enters a walk), a bool or a float, two images swapped, one
+    # dropped or one appended; each permutation a tuple or a list
+    datum = data.draw(st.sampled_from(SMALL_DATA))
+    if datum not in _WITNESSES:
+        verdict = decide(datum)
+        _WITNESSES[datum] = verdict.certificate.perms if verdict.status == REALIZABLE else None
+    d, n = datum.degree, len(datum.partitions)
+    found = _WITNESSES[datum]
+    if found is not None and data.draw(st.booleans()):
+        gamma = tuple(data.draw(st.permutations(range(d))))
+        perms = [list(relabel(p, gamma)) for p in found]
+    else:
+        perms = [data.draw(st.permutations(range(d))) for _ in range(n)]
+    for _ in range(data.draw(st.integers(0, 2))):
+        p = perms[data.draw(st.integers(0, n - 1))]
+        kind = data.draw(st.sampled_from(["set", "swap", "drop", "append"]))
+        i, j = data.draw(st.integers(0, len(p) - 1)), data.draw(st.integers(0, len(p) - 1))
+        if kind == "set":
+            p[i] = data.draw(ODD_IMAGES)
+        elif kind == "swap":
+            p[i], p[j] = p[j], p[i]
+        elif kind == "drop":
+            del p[i]
+        else:
+            p.append(j)
+    perms = tuple(p if data.draw(st.booleans()) else tuple(p) for p in perms)
+    witness = ConstellationWitness(d, perms)
+    assert check_witness(datum, witness) == reference_check_witness(datum, witness)

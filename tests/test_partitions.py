@@ -11,7 +11,6 @@ from hurwitz.partitions import (
     Partition,
     decompose,
     enumerate_candidates,
-    merged,
     nontrivial_partitions,
     parse_datum,
     partitions_of,
@@ -148,7 +147,7 @@ def test_decompose_rejects_bad_shape():
 def test_decompose_soundness_and_length_conservation():
     source = P(4, 3, 2, 2, 1)
     for groups in decompose(source, 3):
-        assert merged(groups) == source
+        assert Partition.of(x for g in groups for x in g.parts) == source
         assert all(g.total == 4 for g in groups)
         assert sum(len(g) for g in groups) == len(source)
 

@@ -4,16 +4,19 @@ from collections import Counter
 import pytest
 
 from hurwitz.criteria import _ANY, _ARITY, ROLE_PAIR, ROLE_THIRD, _shape, detect_structures
+from hurwitz.engine import verify
+from hurwitz.oracle import ConstellationWitness
 from hurwitz.oracle import decide as oracle_decide
 from hurwitz.partitions import CandidateDatum, Partition, parse_datum, rh_defect
 from hurwitz.reduction import (
+    ReductionChain,
     StepReplayError,
     children_thm1,
     children_thm2,
     children_thm3,
     replay,
 )
-from hurwitz.verdicts import REALIZABLE
+from hurwitz.verdicts import REALIZABLE, Verdict
 
 
 def D(text):
@@ -179,6 +182,50 @@ def test_replay_rejects_wrong_child():
     tampered = dataclasses.replace(step, child=CandidateDatum.make(2, []))
     with pytest.raises(StepReplayError):
         replay(tampered)
+
+
+def _forged_child(degree, partitions):
+    # a datum value that skips CandidateDatum's own validation
+    child = object.__new__(CandidateDatum)
+    object.__setattr__(child, "degree", degree)
+    object.__setattr__(child, "partitions", tuple(partitions))
+    return child
+
+
+def _forgeries():
+    """Steps whose records or child are forged so that one check on the
+    rebuilt values fails, with the datum each claims as parent and a word of
+    the expected message."""
+    six = D("6: [2,2,2] [2,2,2] [3,3]")
+    step = next(iter(children_thm1(six, match_for(six, [[2, 2, 2], [2, 2, 2]], 2))))
+    other, pair_a, pair_b = step.records  # [3,3] at index 0, the two [2,2,2] at 1 and 2
+    swapped = (dataclasses.replace(pair_a, index=0), dataclasses.replace(pair_b, index=1),
+               dataclasses.replace(other, index=2))
+    # [2,2,2] [2,2,2] [3,3] is out of canonical order
+    yield pytest.param(six, dataclasses.replace(step, records=swapped), "not the parent's",
+                       id="sources-out-of-order")
+    ones = dataclasses.replace(other, pieces=(Partition.of([1, 1, 1]),) * 2)
+    all_ones = dataclasses.replace(step, records=(ones, pair_a, pair_b), child=CandidateDatum.make(3, []))
+    yield pytest.param(six, all_ones, "not the parent's", id="all-ones-source")
+    yield pytest.param(six, dataclasses.replace(step, child=_forged_child(3, step.child.partitions[:1])),
+                       "child", id="child-drops-a-nontrivial-piece")
+    kept = _forged_child(3, step.child.partitions + (Partition.of([1, 1, 1]),))
+    yield pytest.param(six, dataclasses.replace(step, child=kept), "child", id="child-keeps-a-trivial-piece")
+    # every piece of 4: [2,2] [2,2] [2,2] under thm2 is [1]: the child is 1: with no partitions
+    klein = D("4: [2,2] [2,2] [2,2]")
+    match = [m for m in detect_structures(klein) if m.pair == (0, 1)][0]
+    step = next(iter(children_thm2(klein, match, third=2, t=2)))
+    yield pytest.param(klein, dataclasses.replace(step, child=CandidateDatum.make(2, [])), "piece",
+                       id="child-of-another-degree")
+
+
+@pytest.mark.parametrize("datum, step, message", _forgeries())
+def test_replay_rejects_forged_rebuilt_values(datum, step, message):
+    with pytest.raises(StepReplayError, match=message):
+        replay(step)
+    chain = ReductionChain((step,), ConstellationWitness(step.child.degree, ()))
+    forged = Verdict(REALIZABLE, f"reduction:{step.theorem}", certificate=chain)
+    assert verify(forged, datum) is False
 
 
 # -- equivalence spot checks (the full sweeps run in the acceptance suite) --
