@@ -187,8 +187,12 @@ def prop1_filter(matches: tuple[StructureMatch, ...]) -> list[FilterReport]:
     return reports
 
 
-# each corollary's rule name and the name of the other partitions' cap in d'
-_COROLLARY = {"thm1": ("cor1", "d'"), "thm2": ("cor2", "d'/t"), "thm3": ("cor3", "d'/4")}
+# each corollary's rule and the name of the other partitions' cap in d'
+_COROLLARY = {
+    "thm1": ("cor1.parts", "d'"), "thm2": ("cor2.parts", "d'/t"), "thm3": ("cor3.parts", "d'/4")}
+
+# every rule a filter can report
+_FILTER_RULES = tuple(rule for rule, _ in (*_PROP1.values(), *_COROLLARY.values()))
 
 
 def corollary_filter(datum: CandidateDatum, matches: tuple[StructureMatch, ...]) -> list[FilterReport]:
@@ -213,7 +217,7 @@ def corollary_filter(datum: CandidateDatum, matches: tuple[StructureMatch, ...])
                 if biggest > cap:
                     bound = f"{cap_name}={cap}" if role == ROLE_OTHER else str(cap)
                     reports.append(FilterReport(
-                        f"{rule}.parts", f"part {biggest} of partition {m} exceeds {bound}",
+                        rule, f"part {biggest} of partition {m} exceeds {bound}",
                         match.pair, match.divisor, match.subdegree,
                         third_divisor=third_divisor, index=m))
     return reports

@@ -21,8 +21,10 @@ The engine decides a datum by the cheapest sufficient means, in order:
      budget (``oracle``), else the verdict is unknown with a stated limit.
      Each draw is charged as one node of the budget.
 
-Every engine memoizes its verdicts on the normalized datum, and the
-reduction splits it has built on (source, piece count).
+Every engine memoizes its verdicts on the normalized datum, the structures
+it has detected on the (degree, partition gcds) signature, which is all
+structure detection reads, and the reduction splits it has built on
+(source, piece count).  Each memo lives and dies with its engine.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from typing import Iterator
 
 from . import oracle as oracle_mod
 from .criteria import (
+    _ARITY,
+    _FILTER_RULES,
     StructureMatch,
     corollary_filter,
     detect_structures,
@@ -62,12 +66,20 @@ from .verdicts import (
 )
 
 
+# one string per method name, shared by every verdict of that method, so a
+# caller that keeps many verdicts keeps each name once
+_FILTER_METHODS = {rule: f"filter:{rule}" for rule in _FILTER_RULES}
+_REDUCTION_METHODS = {theorem: f"reduction:{theorem}" for theorem in _ARITY}
+
+
 class DecisionEngine:
-    """Reusable decision context: budget, verdict memo and reduction splits."""
+    """Reusable decision context: budget, and memos of verdicts, structures and
+    reduction splits."""
 
     def __init__(self, budget: SearchBudget | None = None) -> None:
         self.budget = budget or SearchBudget()
         self._memo: dict[CandidateDatum, Verdict] = {}
+        self._structures: dict[tuple[int, tuple[int, ...]], tuple[StructureMatch, ...]] = {}
         self._splits: Splits = {}
         self._nodes = 0
         self._cache_hits = 0
@@ -79,7 +91,7 @@ class DecisionEngine:
         nodes0, hits0 = self._nodes, self._cache_hits
         core = self._lookup(datum)
         stats = DecisionStats(nodes=self._nodes - nodes0, cache_hits=self._cache_hits - hits0)
-        return replace(core, stats=stats)
+        return Verdict(core.status, core.method, core.certificate, core.reasons, core.limit, stats)
 
     def _lookup(self, datum: CandidateDatum) -> Verdict:
         hit = self._memo.get(datum)
@@ -90,6 +102,14 @@ class DecisionEngine:
         self._memo[datum] = verdict
         return verdict
 
+    def _structures_of(self, datum: CandidateDatum) -> tuple[StructureMatch, ...]:
+        """The structures of a balanced datum, detected once per signature."""
+        key = (datum.degree, tuple(p.gcd() for p in datum.partitions))
+        matches = self._structures.get(key)
+        if matches is None:
+            matches = self._structures[key] = detect_structures(datum)
+        return matches
+
     def _pipeline(self, datum: CandidateDatum) -> Verdict:
         if rh_defect(datum) != 0:
             return Verdict(EXCEPTIONAL, "rh")
@@ -98,10 +118,10 @@ class DecisionEngine:
                 return Verdict(UNKNOWN, "base-case", limit=LIMIT_DEGREE)
             return Verdict(REALIZABLE, "base-case", certificate=oracle_mod.two_point_witness(datum))
 
-        matches = detect_structures(datum)
+        matches = self._structures_of(datum)
         reports = tuple(prop1_filter(matches) + corollary_filter(datum, matches))
         if reports:
-            return Verdict(EXCEPTIONAL, f"filter:{reports[0].rule}", reasons=reports)
+            return Verdict(EXCEPTIONAL, _FILTER_METHODS[reports[0].rule], reasons=reports)
 
         shape = match_songxu_shape(datum)
         if shape is not None and not songxu_decide(*shape):
@@ -144,18 +164,18 @@ class DecisionEngine:
     ) -> Verdict | None:
         """Realizable/exceptional via some structure, or None when undecided."""
         for plan in _reduction_plans(matches):
-            theorem = plan[0][1]
+            method = _REDUCTION_METHODS[plan[0][1]]
             complete = True
             for step in _plan_children(datum, plan, self._splits):
                 child_verdict = self._lookup(step.child)
                 if child_verdict.status == REALIZABLE:
                     chain = _extend_chain(step, child_verdict.certificate)
-                    return Verdict(REALIZABLE, f"reduction:{theorem}", certificate=chain)
+                    return Verdict(REALIZABLE, method, certificate=chain)
                 if child_verdict.status == UNKNOWN:
                     complete = False
             if complete:
                 # the enumeration is exhaustive, so no realizable child exists
-                return Verdict(EXCEPTIONAL, f"reduction:{theorem}")
+                return Verdict(EXCEPTIONAL, method)
         return None
 
 
@@ -309,10 +329,11 @@ def _scan_one(task: tuple[str, SearchBudget]) -> tuple[dict, bool]:
     """
     text, budget = task
     datum = parse_datum(text)
-    row = DecisionEngine(budget).decide(datum).to_json(datum, input_text=text)
+    engine = DecisionEngine(budget)
+    row = engine.decide(datum).to_json(datum, input_text=text)
     row["oracle_status"] = oracle_mod.decide(datum, budget).status
     # a filter false positive is already a disagreement
-    audit = row["oracle_status"] == REALIZABLE and _strict_audit(datum, detect_structures(datum))
+    audit = row["oracle_status"] == REALIZABLE and _strict_audit(datum, engine._structures_of(datum))
     return row, audit
 
 

@@ -11,6 +11,7 @@ split algebra that the degree reductions run on.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -94,8 +95,8 @@ class CandidateDatum:
     partitions: tuple[Partition, ...]
 
     def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError("degree must be positive")
+        if type(self.degree) is not int or self.degree < 1:
+            raise ValueError(f"degree must be a positive int, got {self.degree!r}")
         prev = None
         for p in self.partitions:
             if p.trivial:
@@ -136,14 +137,38 @@ def rh_defect(datum: CandidateDatum) -> int:
     return (n - 2) * datum.degree + 2 - sum(len(p) for p in datum.partitions)
 
 
+# well-formed datum text: the degree, then the partitions' text; \s is
+# exactly the set of characters str.isspace() accepts
+_DATUM_TEXT = re.compile(r"\s*([0-9]+)\s*:\s*((?:\[\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*\]\s*)*)")
+
+
 def parse_datum(text: str) -> CandidateDatum:
     """Parse ``"degree: [a,b] [c,d] ..."`` into a normalized datum.
 
     Grammar: ``datum := degree ":" partition*`` with
     ``partition := "[" int ("," int)* "]"``; integers are positive and
     written in the ASCII digits 0-9.  Errors report a 0-based offset into
-    the input.
+    the input.  One regular expression accepts well-formed text; text it
+    rejects, a zero, a partition of the wrong sum or an int too long for
+    ``int()`` goes to :func:`_scan_datum`, which words the error.
     """
+    match = _DATUM_TEXT.fullmatch(text)
+    if match is not None:
+        body = "".join(match[2].split())  # "[a,b][c,d]..."
+        rows = body[1:-1].split("][") if body else []
+        try:
+            degree = int(match[1])
+            rows = [[int(x) for x in row.split(",")] for row in rows]
+        except ValueError:  # more digits than the interpreter converts
+            return _scan_datum(text)
+        if degree and all(sum(row) == degree and 0 not in row for row in rows):
+            return CandidateDatum.make(degree, rows)
+    return _scan_datum(text)
+
+
+def _scan_datum(text: str) -> CandidateDatum:
+    """:func:`parse_datum` one character at a time, raising
+    :class:`DatumParseError` at the offset of the first fault."""
     i = 0
     n = len(text)
 

@@ -241,6 +241,18 @@ def test_shared_divisor_chains_verify_and_reject_index_swaps():
     assert (chains, forgeries) == (2608, 2498)
 
 
+def test_chain_child_of_non_int_degree_cannot_be_built():
+    # the last child of this songxu chain, replaced by a float-degree datum,
+    # once replayed and then crashed check_witness inside verify()
+    datum = D("8: [4,4] [2,2,2,2] [2,2,2,2]")
+    verdict = decide(datum)
+    assert verdict.method == "songxu" and verify(verdict, datum)
+    assert verdict.certificate.steps[-1].child == CandidateDatum(1, ())
+    for degree in (1.0, True, "1", None):
+        with pytest.raises(ValueError, match="degree must be a positive int"):
+            CandidateDatum(degree, ())
+
+
 def test_verify_propagates_checker_crash(monkeypatch):
     datum = D("3: [3] [2,1] [2,1]")
     verdict = decide(datum)
@@ -326,7 +338,9 @@ def test_memoization_transparent():
     assert repeat.stats.cache_hits >= 1
 
 
-def test_structures_detected_once_per_pipeline(monkeypatch):
+def _count_detections(monkeypatch) -> tuple[list, list]:
+    """Record the data structure detection runs on, and those whose pipeline
+    passes the balance check and the degree-1 and [d] [d] base cases."""
     detected = []
     pipelines = []
     real_detect = engine_mod.detect_structures
@@ -337,13 +351,17 @@ def test_structures_detected_once_per_pipeline(monkeypatch):
         return real_detect(datum)
 
     def counting_pipeline(self, datum):
-        # past the balance check and the degree-1 and [d] [d] base cases
         if rh_defect(datum) == 0 and len(datum.partitions) > 2:
             pipelines.append(datum)
         return real_pipeline(self, datum)
 
     monkeypatch.setattr(engine_mod, "detect_structures", counting_detect)
     monkeypatch.setattr(DecisionEngine, "_pipeline", counting_pipeline)
+    return detected, pipelines
+
+
+def test_structures_detected_once_per_pipeline(monkeypatch):
+    detected, pipelines = _count_detections(monkeypatch)
     texts = (
         "4: [3,1] [2,2] [2,2]",  # filter
         "4: [2,2] [2,2] [2,2]",  # thm2
@@ -357,6 +375,54 @@ def test_structures_detected_once_per_pipeline(monkeypatch):
         DecisionEngine().decide(text)
     assert len(pipelines) > len(texts)  # child decisions are counted too
     assert detected == pipelines
+
+
+def test_structures_memo_matches_detection():
+    # one engine answers for every datum of a (degree, gcds) signature
+    engine = DecisionEngine()
+    data = [datum for d in range(2, 13) for datum in enumerate_candidates(d, 3)]
+    data += [datum for d in range(2, 9) for datum in enumerate_candidates(d, 4)]
+    for datum in data:
+        assert engine._structures_of(datum) == detect_structures(datum), datum.render()
+    assert len(engine._structures) < len(data)
+
+
+def _signature(datum):
+    return datum.degree, tuple(p.gcd() for p in datum.partitions)
+
+
+def test_engine_detects_structures_once_per_signature(monkeypatch):
+    # the data of the benchmark's structured workload, decided by one engine
+    detected, pipelines = _count_detections(monkeypatch)
+    data = ([parse_datum(entry.datum_text) for entry in load_corpus()]
+            + [datum for datum, _ in family_instances(2, 4, 2)]
+            + _shared_divisor_data((8, 3), (9, 3), (10, 3), (8, 4), (12, 3), (14, 3), (15, 3), (12, 4)))
+    engine = DecisionEngine()
+    for datum in data:
+        engine.decide(datum)
+    signatures = [_signature(datum) for datum in detected]
+    assert len(set(signatures)) == len(signatures)
+    assert set(signatures) == {_signature(datum) for datum in pipelines}
+    assert (len(signatures), len(pipelines)) == (133, 3579)
+
+
+def test_scan_audit_reuses_the_rows_structures(monkeypatch):
+    # each row's engine detects a signature once, for its pipeline and the
+    # strict audit alike; only the [d] [d] base cases reach the audit undetected
+    detected, _ = _count_detections(monkeypatch)
+    report = scan(8, 4)
+    assert len(report.rows) == 1469 and len(report.audit) == 3
+    assert len(detected) == 1558
+
+
+def test_verdicts_share_method_names():
+    # a caller that keeps many verdicts, from one engine or many, keeps each
+    # method name once
+    names = {}
+    for datum in _shared_divisor_data((8, 3), (8, 4)):
+        method = decide(datum).method
+        assert names.setdefault(method, method) is method, method
+    assert {"filter:cor1.parts", "reduction:thm1", "reduction:thm2"} <= set(names)
 
 
 def test_engine_builds_each_split_once(monkeypatch):

@@ -12,6 +12,7 @@ from hurwitz.partitions import (
     decompose,
     enumerate_candidates,
     nontrivial_partitions,
+    _scan_datum,
     parse_datum,
     partitions_of,
     rh_defect,
@@ -80,6 +81,56 @@ def test_parse_zero_and_degree_errors():
             with pytest.raises(DatumParseError, match="has too many digits") as err:
                 parse_datum(text)
             assert err.value.position == where
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except DatumParseError as err:
+        return str(err), err.position
+
+
+_WS = st.text(" \t\x1c\u00a0\u2003", max_size=2)
+_INT = st.sampled_from(["1", "2", "2", "3", "4", "0", "02", "\u0663", ""])
+
+
+@st.composite
+def _datum_texts(draw):
+    """Datum-shaped text: mostly well formed, with missing, zero and non-ASCII
+    ints, stray separators, unclosed partitions and wrong sums."""
+    out = [draw(_WS), draw(_INT), draw(_WS), draw(st.sampled_from([":", ":", ":", ","])), draw(_WS)]
+    for _ in range(draw(st.integers(0, 3))):
+        parts = draw(st.lists(st.tuples(_WS, _INT, _WS).map("".join), min_size=1, max_size=4))
+        out += ["[", ",".join(parts), draw(st.sampled_from(["]", "]", "]", ""])), draw(_WS)]
+    return "".join(out)
+
+
+@given(st.one_of(_datum_texts(), st.text("0123456789[],:\u0663 \t\x1c\u00a0\u2003", max_size=16)))
+def test_parse_paths_agree_property(text):
+    # the one-regex path and the scanner alone: the same datum, or the same
+    # error at the same offset
+    assert _parse_outcome(parse_datum, text) == _parse_outcome(_scan_datum, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["04: [02,2] [2,2] [2,2]", "4: [1,,2] [2,2] [2,2]", "4: [] [2,2]", "4: [2,2] [2,2] [2,2] \t\u2003",
+     "4: [2,2]\x1c[2,2]", "00:", "4: [2,0,2] [2,2] [2,2]", "4: [" + "1" * 4301 + "]", "1" * 4301 + ": [1]"],
+)
+def test_parse_paths_agree(text):
+    assert _parse_outcome(parse_datum, text) == _parse_outcome(_scan_datum, text)
+
+
+def test_parse_pins():
+    assert parse_datum("04: [02,2] [2,2] [2,2]") == parse_datum("4: [2,2] [2,2] [2,2]")
+    assert parse_datum("4: [2,2] [2,2] [2,2] \t\u2003") == parse_datum("4: [2,2] [2,2] [2,2]")
+    with pytest.raises(DatumParseError, match=r"^expected a part \(at offset 6\)$"):
+        parse_datum("4: [1,,2]")
+    with pytest.raises(DatumParseError, match=r"^expected a part \(at offset 4\)$"):
+        parse_datum("4: []")
+    if hasattr(sys, "get_int_max_str_digits"):  # the interpreter caps int() of long strings
+        with pytest.raises(DatumParseError, match=r"^a part has too many digits \(at offset 4\)$"):
+            parse_datum("4: [" + "1" * 4301 + "]")
 
 
 def test_render_roundtrip_idempotent():
