@@ -281,13 +281,13 @@ def _verify_chain(datum: CandidateDatum, chain: ReductionChain) -> bool:
 
 @dataclass
 class ScanReport:
-    """Dual adjudication of every candidate in a range."""
+    """Dual adjudication of every candidate in a range: one row each, the
+    pipeline/search disagreements, and per-(d, n) counts by status and method."""
 
     rows: list[dict] = field(default_factory=list)
     disagreements: list[str] = field(default_factory=list)
     counts: dict[tuple[int, int], dict[str, int]] = field(default_factory=dict)
     methods: dict[tuple[int, int], dict[str, int]] = field(default_factory=dict)
-    audit: list[str] = field(default_factory=list)
 
     def summary_lines(self) -> list[str]:
         lines = []
@@ -303,38 +303,21 @@ class ScanReport:
         lines.append(f"disagreements: {len(self.disagreements)}")
         for text in self.disagreements:
             lines.append(f"  DISAGREE {text}")
-        lines.append(f"strict-audit (realizable but strict-flagged): {len(self.audit)}")
-        for text in self.audit:
-            lines.append(f"  AUDIT {text}")
         return lines
 
 
-def _strict_audit(datum: CandidateDatum, matches: tuple[StructureMatch, ...]) -> bool:
-    """Whether the strict corollary bounds, which also demand more parts than
-    pieces of every other partition, would flag ``datum``.  Balance gives at
-    least as many (see :mod:`hurwitz.criteria`), and exactly 2t or 12 beside
-    a thm2 or thm3 third would make it trivial, so only a partition outside
-    an s-pair with exactly s parts is left."""
-    return bool(corollary_filter(datum, matches)) or any(
-        len(datum.partitions[m]) == match.divisor for match in matches for m, _ in match.other_gcds
-    )
-
-
-def _scan_one(task: tuple[str, SearchBudget]) -> tuple[dict, bool]:
+def _scan_one(task: tuple[str, SearchBudget]) -> dict:
     """Decide one candidate by the pipeline and by the search alone; returns
-    the jsonl row, which holds both statuses, and whether the audit flags it.
+    the jsonl row, which holds both statuses.
 
     Each candidate gets a fresh engine so row content is independent of
     scheduling: deterministic scans must be byte-identical across runs.
     """
     text, budget = task
     datum = parse_datum(text)
-    engine = DecisionEngine(budget)
-    row = engine.decide(datum).to_json(datum, input_text=text)
+    row = DecisionEngine(budget).decide(datum).to_json(datum, input_text=text)
     row["oracle_status"] = oracle_mod.decide(datum, budget).status
-    # a filter false positive is already a disagreement
-    audit = row["oracle_status"] == REALIZABLE and _strict_audit(datum, engine._structures_of(datum))
-    return row, audit
+    return row
 
 
 def scan(
@@ -348,9 +331,8 @@ def scan(
     Each candidate is decided twice, by the full pipeline and by the search
     alone, and any realizable/exceptional conflict is reported (there must
     be none).  The report also carries per-(d, n) counts by status and by
-    the pipeline's method, and the strict-mode audit set: data the strict
-    corollary bounds would reject even though they are realizable.  ``jobs``
-    worker processes share the candidates; it must be at least 1.
+    the pipeline's method.  ``jobs`` worker processes share the candidates;
+    it must be at least 1.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -369,7 +351,7 @@ def scan(
     else:
         results = [_scan_one(task) for task in tasks]
 
-    for row, audit in results:
+    for row in results:
         report.rows.append(row)
         status = row["oracle_status"] if row["status"] == UNKNOWN else row["status"]
         key = (row["degree"], len(row["partitions"]))
@@ -379,6 +361,4 @@ def scan(
         methods[row["method"]] = methods.get(row["method"], 0) + 1
         if {row["status"], row["oracle_status"]} == {REALIZABLE, EXCEPTIONAL}:
             report.disagreements.append(row["input"])
-        if audit:
-            report.audit.append(row["input"])
     return report

@@ -31,12 +31,12 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.parts:
-            raise ValueError("a partition needs at least one part")
+        if type(self.parts) is not tuple or not self.parts:
+            raise ValueError(f"parts must be a nonempty tuple, got {self.parts!r}")
         prev = None
         for p in self.parts:
-            if not isinstance(p, int) or p < 1:
-                raise ValueError(f"parts must be positive integers, got {p!r}")
+            if type(p) is not int or p < 1:
+                raise ValueError(f"parts must be positive ints, got {p!r}")
             if prev is not None and p > prev:
                 raise ValueError("parts must be non-increasing; use Partition.of()")
             prev = p
@@ -57,9 +57,6 @@ class Partition:
 
     def gcd(self) -> int:
         return math.gcd(*self.parts)
-
-    def scaled(self, k: int) -> "Partition":
-        return Partition(tuple(p * k for p in self.parts))
 
     def divided(self, s: int) -> "Partition":
         """Divide every part by ``s``; every part must be divisible."""

@@ -166,18 +166,6 @@ def test_criterion_filter_soundness_scan():
     )
 
 
-def test_criterion_strict_mode_audit():
-    """The scan documents the strict-bound discrepancy: realizable data the
-    strict length rules would reject."""
-    report = scan(6, 3, BUDGET)
-    target = "4: [2,2] [2,2] [2,2]"
-    _criterion(
-        "strict-mode-audit",
-        target in report.audit and len(report.audit) >= 1,
-        f"audit={report.audit}",
-    )
-
-
 def test_criterion_songxu_agreement():
     """Closed form matches the search for all k <= 5, x, y <= k, every first
     partition shape; includes the gcd-failure case."""

@@ -10,7 +10,7 @@ from hurwitz.criteria import (
     prop1_filter,
     songxu_decide,
 )
-from hurwitz.engine import _strict_audit
+from hurwitz.engine import decide
 from hurwitz.oracle import decide as oracle_decide
 from hurwitz.partitions import (
     CandidateDatum,
@@ -106,18 +106,19 @@ def test_cor1_parts_on_family_instance():
 
 def test_weak_passes_strict_flags():
     # realizable, and the partition outside each pair has exactly s = 2 parts,
-    # which only the strict length rule the scan audits would reject
+    # which only the strict length rule would reject
     datum = D("4: [2,2] [2,2] [2,2]")
-    matches = detect_structures(datum)
-    assert corollary_filter(datum, matches) == []
-    assert _strict_audit(datum, matches)
+    assert corollary_filter(datum, detect_structures(datum)) == []
+    assert reference_corollaries(datum, strict=True)
 
 
 def test_corollary_filter_matches_reference():
     # every structured datum with n = 3, d <= 16 and with n <= 5, d <= 10:
-    # the table-driven filter gives the hand-written reports in order, no
-    # length rule fires, and the scan's audit is the strict reference
-    checked = flagged = audited = 0
+    # the table-driven filter gives the hand-written reports in order and no
+    # length rule fires; the strict bounds flag the same data and one more
+    # family, 2k: [k,k] [2^k] [2^k], whose data are all realizable
+    checked = flagged = 0
+    strict_only = []
     for n, degree_max in ((2, 10), (3, 16), (4, 10), (5, 10)):
         for degree in range(2, degree_max + 1):
             for datum in enumerate_candidates(degree, n):
@@ -129,10 +130,14 @@ def test_corollary_filter_matches_reference():
                 assert [r.to_json() for r in corollary_filter(datum, matches)] == weak, datum.render()
                 assert not any(r["rule"].endswith(".length") for r in weak), datum.render()
                 strict = bool(reference_corollaries(datum, strict=True))
-                assert _strict_audit(datum, matches) == strict, datum.render()
+                assert strict or not weak, datum.render()
+                if strict and not weak:
+                    strict_only.append(datum.render())
                 flagged += bool(weak)
-                audited += strict
-    assert (checked, flagged, audited) == (5543, 437, 444)
+    assert (checked, flagged) == (5543, 437)
+    assert strict_only == [CandidateDatum.make(2 * k, [[k, k], [2] * k, [2] * k]).render()
+                           for k in range(2, 9)]
+    assert all(decide(D(text)).status == REALIZABLE for text in strict_only)
 
 
 def test_report_json_shape():

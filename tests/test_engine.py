@@ -406,13 +406,23 @@ def test_engine_detects_structures_once_per_signature(monkeypatch):
     assert (len(signatures), len(pipelines)) == (133, 3579)
 
 
-def test_scan_audit_reuses_the_rows_structures(monkeypatch):
-    # each row's engine detects a signature once, for its pipeline and the
-    # strict audit alike; only the [d] [d] base cases reach the audit undetected
+def test_scan_detects_each_signature_once_per_row(monkeypatch):
+    # each row gets a fresh engine, which detects a signature once
     detected, _ = _count_detections(monkeypatch)
+    per_row = []
+    real_scan_one = engine_mod._scan_one
+
+    def counting_scan_one(task):
+        start = len(detected)
+        row = real_scan_one(task)
+        per_row.append([_signature(datum) for datum in detected[start:]])
+        return row
+
+    monkeypatch.setattr(engine_mod, "_scan_one", counting_scan_one)
     report = scan(8, 4)
-    assert len(report.rows) == 1469 and len(report.audit) == 3
-    assert len(detected) == 1558
+    assert len(report.rows) == len(per_row) == 1469
+    assert all(len(set(signatures)) == len(signatures) for signatures in per_row)
+    assert len(detected) == 1551
 
 
 def test_verdicts_share_method_names():
@@ -503,13 +513,21 @@ def test_draws_are_charged_to_the_node_budget():
 
 def test_scan_small_range():
     report = scan(6, 3)
-    assert report.disagreements == []
-    cell = report.counts[(4, 3)]
-    assert sum(cell.values()) == 6 and cell[EXCEPTIONAL] == 1
-    assert report.methods[(4, 3)] == {
-        "filter:cor1.parts": 1, "reduction:thm1": 1, "reduction:thm2": 1, "sample": 3}
-    assert "4: [2,2] [2,2] [2,2]" in report.audit
     assert all(row["oracle_status"] == row["status"] for row in report.rows)
+    assert report.summary_lines() == [
+        "d=2 n=2: total=1 realizable=1 exceptional=0 unknown=0 by method: base-case=1",
+        "d=3 n=2: total=1 realizable=1 exceptional=0 unknown=0 by method: base-case=1",
+        "d=3 n=3: total=1 realizable=1 exceptional=0 unknown=0 by method: sample=1",
+        "d=4 n=2: total=1 realizable=1 exceptional=0 unknown=0 by method: base-case=1",
+        "d=4 n=3: total=6 realizable=5 exceptional=1 unknown=0 by method:"
+        " filter:cor1.parts=1 reduction:thm1=1 reduction:thm2=1 sample=3",
+        "d=5 n=2: total=1 realizable=1 exceptional=0 unknown=0 by method: base-case=1",
+        "d=5 n=3: total=11 realizable=11 exceptional=0 unknown=0 by method: sample=11",
+        "d=6 n=2: total=1 realizable=1 exceptional=0 unknown=0 by method: base-case=1",
+        "d=6 n=3: total=39 realizable=34 exceptional=5 unknown=0 by method: filter:cor1.parts=3"
+        " filter:prop1.case3=1 oracle=1 reduction:thm1=2 sample=25 songxu=7",
+        "disagreements: 0",
+    ]
 
 
 def test_scan_parallel_matches_serial():

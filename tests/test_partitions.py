@@ -168,6 +168,12 @@ def test_partition_invariants():
         Partition.of([0, 2])
     with pytest.raises(ValueError):
         Partition((1, 3))  # not sorted
+    with pytest.raises(ValueError):
+        Partition((2, True))  # a bool would render as [2,True] and hash as (2, 1)
+    with pytest.raises(ValueError):
+        Partition([2, 1])  # a list of parts cannot be hashed
+    with pytest.raises(ValueError):
+        CandidateDatum.make(8, [[5, 3], [2, 2, 2, 2], [3, 2, 2, True]])
 
 
 def test_rh_defect_examples():
