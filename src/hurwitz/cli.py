@@ -172,7 +172,7 @@ def build_parser() -> _Parser:
     scan_cmd.add_argument("--branch-points-max", type=int, required=True)
     scan_cmd.add_argument("--out", type=_output_file, help="write JSONL rows to this file")
     scan_cmd.add_argument("--jobs", type=int, default=1,
-                          help="worker processes, at least 1 (default %(default)s)")
+                          help="worker processes, at least 1; capped at the CPUs (default %(default)s)")
     _add_budget_flags(scan_cmd)
     scan_cmd.set_defaults(func=cmd_scan)
 

@@ -29,6 +29,7 @@ structure detection reads, and the reduction splits it has built on
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
@@ -166,8 +167,8 @@ class DecisionEngine:
         for plan in _reduction_plans(matches):
             method = _REDUCTION_METHODS[plan[0][1]]
             complete = True
-            for step in _plan_children(datum, plan, self._splits):
-                child_verdict = self._lookup(step.child)
+            for step, child in _plan_children(datum, plan, self._splits):
+                child_verdict = self._lookup(child)
                 if child_verdict.status == REALIZABLE:
                     chain = _extend_chain(step, child_verdict.certificate)
                     return Verdict(REALIZABLE, method, certificate=chain)
@@ -191,8 +192,10 @@ def _reduction_plans(
     return plans
 
 
-def _plan_children(datum: CandidateDatum, plan: tuple, splits: Splits) -> Iterator[ReductionStep]:
-    """The child steps of one plan from :func:`_reduction_plans`; ``splits``
+def _plan_children(
+    datum: CandidateDatum, plan: tuple, splits: Splits
+) -> Iterator[tuple[ReductionStep, CandidateDatum]]:
+    """The (step, child) pairs of one plan from :func:`_reduction_plans`; ``splits``
     is the memo of :func:`hurwitz.reduction._children`."""
     key, match, third, t = plan
     if key[1] == "thm1":
@@ -218,21 +221,25 @@ def decide(datum: CandidateDatum | str, budget: SearchBudget | None = None) -> V
 def verify(verdict: Verdict, datum: CandidateDatum) -> bool:
     """Re-check a verdict from scratch; False on any inconsistency.
 
-    Certificates are fully re-verified (witness invariants, chain replay and
-    linkage, base certificate).  Only ``rh`` is exceptional on unbalanced
-    data, and nothing on a base case.  Filter and closed-form verdicts are
-    re-derived; the filters hold only provable bounds, so a filter verdict
-    naming a rule that does not fire is rejected, and so is one naming a
-    corollary length rule, which balance makes redundant and the filters no
-    longer check.  Exceptional verdicts from the search or a reduction carry
-    no certificate; for those only balance and three partitions are checked.
-    A malformed certificate is rejected: a witness of the wrong lengths or
-    with images that are not a permutation of integers, or a chain whose
-    steps, step fields or base are of the wrong type.  An exception raised
-    while checking propagates, so a crash in a checker is never reported as
-    "invalid".
+    Balance is read once, first: a realizable claim needs it (a witness on
+    unbalanced data is a cover of higher genus), only ``rh`` is exceptional
+    without it, and nothing on a base case.  Certificates are fully
+    re-verified: a witness, or each chain step replayed from the child
+    the one before returned, then the base witness.  Filter and closed-form
+    verdicts are re-derived; the filters hold only provable bounds, so a
+    filter verdict naming a rule that does not fire is rejected, and so is
+    one naming a corollary length rule.  Exceptional verdicts from the
+    search or a reduction carry no certificate; for those only balance and
+    three partitions are checked.  A malformed verdict is rejected: a
+    method that is not a string, a witness not a tuple of permutations of
+    the right lengths, or a chain whose steps, fields or base are of the
+    wrong type.  An exception raised while checking propagates, so a crash
+    in a checker is never reported as "invalid".
     """
+    balanced = rh_defect(datum) == 0
     if verdict.status == REALIZABLE:
+        if not balanced:
+            return False
         cert = verdict.certificate
         if isinstance(cert, ConstellationWitness):
             return check_witness(datum, cert)
@@ -241,9 +248,11 @@ def verify(verdict: Verdict, datum: CandidateDatum) -> bool:
         return False
     if verdict.status == EXCEPTIONAL:
         method = verdict.method
+        if type(method) is not str:
+            return False
         if method == "rh":
-            return rh_defect(datum) != 0
-        if rh_defect(datum) != 0 or len(datum.partitions) < 3:
+            return not balanced
+        if not balanced or len(datum.partitions) < 3:
             return False
         if method.startswith("filter:"):
             rule = method.split(":", 1)[1]
@@ -260,19 +269,14 @@ def verify(verdict: Verdict, datum: CandidateDatum) -> bool:
 
 
 def _verify_chain(datum: CandidateDatum, chain: ReductionChain) -> bool:
-    if not isinstance(chain.steps, tuple) or not all(isinstance(s, ReductionStep) for s in chain.steps):
-        return False
-    if not isinstance(chain.base, ConstellationWitness):
+    if not isinstance(chain.steps, tuple) or not isinstance(chain.base, ConstellationWitness):
         return False
     current = datum
-    for step in chain.steps:
-        try:
-            parent = replay(step)
-        except StepReplayError:
-            return False
-        if parent != current:
-            return False
-        current = step.child
+    try:
+        for step in chain.steps:
+            current = replay(step, current)
+    except StepReplayError:
+        return False
     return check_witness(current, chain.base)
 
 
@@ -331,8 +335,9 @@ def scan(
     Each candidate is decided twice, by the full pipeline and by the search
     alone, and any realizable/exceptional conflict is reported (there must
     be none).  The report also carries per-(d, n) counts by status and by
-    the pipeline's method.  ``jobs`` worker processes share the candidates;
-    it must be at least 1.
+    the pipeline's method.  Up to ``jobs`` worker processes share the
+    candidates, never more than there are candidates or CPUs, and a scan that
+    would get one runs in this process; ``jobs`` must be at least 1.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -343,10 +348,12 @@ def scan(
              for d in range(2, degree_max + 1)
              for n in range(1, branch_points_max + 1)
              for datum in enumerate_candidates(d, n)]
-    if jobs > 1:
+    # a process pool starts all its workers up front, however few tasks it gets
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_one, tasks, chunksize=8))
     else:
         results = [_scan_one(task) for task in tasks]

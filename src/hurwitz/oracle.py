@@ -138,8 +138,8 @@ def check_witness(datum: CandidateDatum, witness: ConstellationWitness) -> bool:
 
     A malformed witness is rejected: the wrong number of permutations, or one
     that is not a sequence of ``degree`` integer images permuting 0..d-1.
-    One walk per permutation finds a repeated image (a walk ending off its
-    start) and spends a part of its partition per cycle.
+    One walk per permutation (:func:`_cycles_fit`) finds a repeated image
+    and spends a part of its partition per cycle.
     """
     d = datum.degree
     perms = witness.perms
@@ -153,21 +153,31 @@ def check_witness(datum: CandidateDatum, witness: ConstellationWitness) -> bool:
         left = [0] * (d + 1)
         for length in part.parts:
             left[length] += 1
-        seen = [False] * d
-        for start in range(d):
-            if seen[start]:
-                continue
-            x, length = start, 0
-            while not seen[x]:
-                seen[x] = True
-                x = p[x]
-                length += 1
-            if x != start or not left[length]:
-                return False
-            left[length] -= 1
+        if not _cycles_fit(p, left):
+            return False
     if product(perms, d) != identity(d):
         return False
     return is_transitive(perms, d)
+
+
+def _cycles_fit(p, left: list[int]) -> bool:
+    """Walk each cycle of ``p``, images 0..d-1, once and spend one of ``left``'s
+    parts of its length (``left[k]`` counts the parts of length k, k <= d);
+    False at a cycle with no part left, or at a walk that ends off its start,
+    which only a map that is not injective makes."""
+    seen = [False] * len(p)
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        x, length = start, 0
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
+            length += 1
+        if x != start or not left[length]:
+            return False
+        left[length] -= 1
+    return True
 
 
 class BudgetExhausted(Exception):
@@ -506,21 +516,7 @@ def sample(datum: CandidateDatum, draws: int) -> tuple[ConstellationWitness | No
         prod = images[around[0]]
         for i in around[1:]:
             prod = [prod[y] for y in images[i]]
-        left = want.copy()
-        seen = [False] * d
-        for start in points:
-            if seen[start]:
-                continue
-            length = 0
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = prod[x]
-                length += 1
-            if not left[length]:
-                break
-            left[length] -= 1
-        else:
+        if _cycles_fit(prod, want.copy()):
             generators = [images[i] for i in range(n) if i != forced]
             if is_transitive(generators, d):
                 perms = list(images)

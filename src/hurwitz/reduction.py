@@ -10,9 +10,10 @@ enumerator, which checks a plan against the structure's admitted
 both read it.
 
 A :class:`ReductionStep` records the theorem, ``s``, ``t`` and, for each
-parent partition, its index, role and pieces; :func:`replay` rebuilds the
-rest from the table, so a chain of steps ending in a witness for its last
-child is an independently checkable realizability certificate.
+parent partition in order, its role and pieces; :func:`replay` checks it
+against the parent and rebuilds the child from the table, so a chain of
+steps from a balanced datum, ending in a witness for its last child, is an
+independently checkable realizability certificate.
 """
 
 from __future__ import annotations
@@ -36,30 +37,25 @@ class StepReplayError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class SplitRecord:
-    """How the parent partition at ``index`` was fed into the child datum: its
+    """How one parent partition, by position, was fed into the child datum: its
     parts are those of all the ``pieces``, each times its ``role``'s scale."""
 
-    index: int
     role: str
     pieces: tuple[Partition, ...]
 
     def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "role": self.role,
-            "pieces": [list(p.parts) for p in self.pieces],
-        }
+        return {"role": self.role, "pieces": [list(p.parts) for p in self.pieces]}
 
 
 @dataclass(frozen=True, slots=True)
 class ReductionStep:
-    """``theorem`` at ``s`` and ``t``: a record per parent partition, and the child."""
+    """``theorem`` at ``s`` and ``t``: a record per parent partition, in order.
+    The child is not stored; :func:`replay` rebuilds it from the records."""
 
     theorem: str
     s: int
     t: int | None
     records: tuple[SplitRecord, ...]
-    child: CandidateDatum
 
     def to_json(self) -> dict:
         return {
@@ -67,10 +63,6 @@ class ReductionStep:
             "s": self.s,
             "t": self.t,
             "decompositions": [r.to_json() for r in self.records],
-            "child": {
-                "degree": self.child.degree,
-                "partitions": [list(p.parts) for p in self.child.partitions],
-            },
         }
 
 
@@ -89,34 +81,35 @@ class ReductionChain:
         }
 
     def render(self) -> str:
+        # every piece of a step is a partition of its child's degree
         hops = " -> ".join(
-            f"{s.theorem}(s={s.s}{f',t={s.t}' if s.t else ''}) d={s.child.degree}" for s in self.steps
+            f"{s.theorem}(s={s.s}{f',t={s.t}' if s.t else ''}) d={s.records[0].pieces[0].total}"
+            for s in self.steps
         )
         tail = f"base: witness {self.base.render()}"
         return f"{hops}; {tail}" if hops else tail
 
 
-def replay(step: ReductionStep) -> CandidateDatum:
-    """Rebuild and return the parent datum, validating every record.
+def replay(step: ReductionStep, parent: CandidateDatum) -> CandidateDatum:
+    """Check ``step`` against ``parent`` and return the child it reduces to.
 
-    A record rebuilds the parent partition at its index once, as its pieces'
-    parts times its role's scale; in index order these must already be the
-    canonical parent, and the child the sorted nontrivial pieces.  Raises
-    :class:`StepReplayError` on any inconsistency: a field of the wrong
-    type, an ``s`` or ``t`` the theorem does not take, a role it lacks,
-    wrong piece counts, records out of index order, other than two pair-role
-    records (and one third where the theorem has a third role), a rebuilt
-    partition not at its index, a child that does not match the pieces, or
-    an unbalanced parent.  The child is then balanced: each role's scale
-    times piece count is one K = d/u, so its N pieces satisfy
-    N - 2 = (n - 2)K and its balance equation is the parent's.
+    The records are positional: the i-th, its pieces' parts times its role's
+    scale, must rebuild the parent's i-th partition, and every piece must be
+    a partition of the child degree u = d / (scale times piece count); the
+    child is the nontrivial pieces, sorted.  Raises :class:`StepReplayError`
+    on any inconsistency: a field of the wrong type, an ``s`` or ``t`` the
+    theorem does not take, a role it lacks, wrong piece counts, a piece of
+    another total, other than two pair-role records (and one third where
+    the theorem has a third role), or a record too many, too few or not
+    rebuilding the parent's partition at its position.  Balance is not
+    checked: each role's scale times piece count is one K = d/u, so the
+    child's N pieces satisfy N - 2 = (n - 2)K and its balance equation is
+    the parent's.
     """
+    if not isinstance(step, ReductionStep):
+        raise StepReplayError(f"{step!r} is not a reduction step")
     if not (type(step.theorem) is str and step.theorem in _ARITY):
         raise StepReplayError(f"unknown theorem {step.theorem!r}")
-    if not isinstance(step.child, CandidateDatum):
-        raise StepReplayError(f"child {step.child!r} is not a datum")
-    if not isinstance(step.records, tuple):
-        raise StepReplayError("records are not a tuple")
     fixed_s, fixed_t, _ = _ARITY[step.theorem]
     for name, fixed, value in (("s", fixed_s, step.s), ("t", fixed_t, step.t)):
         if fixed is None:
@@ -126,54 +119,47 @@ def replay(step: ReductionStep) -> CandidateDatum:
         if not ok:
             raise StepReplayError(f"{step.theorem} does not take {name}={value!r}")
     shape = _shape(step.theorem, step.s, step.t)
-    u = step.child.degree
-    sources = []
-    nontrivial: list[Partition] = []
-    for rec in step.records:
-        if not (isinstance(rec, SplitRecord) and type(rec.index) is int
-                and type(rec.role) is str and isinstance(rec.pieces, tuple)):
+    if not (isinstance(step.records, tuple) and len(step.records) == len(parent.partitions)):
+        raise StepReplayError("records are not a tuple of one per parent partition")
+    scale, count = shape[ROLE_PAIR]
+    u = parent.degree // (scale * count)
+    pieces: list[Partition] = []
+    for i, (rec, source) in enumerate(zip(step.records, parent.partitions)):
+        if not (isinstance(rec, SplitRecord) and type(rec.role) is str and isinstance(rec.pieces, tuple)):
             raise StepReplayError(f"malformed record {rec!r}")
         if rec.role not in shape:
             raise StepReplayError(f"role {rec.role!r} not allowed in {step.theorem}")
         scale, count = shape[rec.role]
         if len(rec.pieces) != count:
-            raise StepReplayError(f"record {rec.index}: {len(rec.pieces)} pieces, expected {count}")
-        for piece in rec.pieces:
-            if not isinstance(piece, Partition) or piece.total != u:
-                raise StepReplayError(f"record {rec.index}: piece {piece} is not a partition of {u}")
-        sources.append(Partition.of(scale * x for piece in rec.pieces for x in piece.parts))
-        nontrivial.extend(piece for piece in rec.pieces if not piece.trivial)
-    if [rec.index for rec in step.records] != list(range(len(sources))):
-        raise StepReplayError("records do not list the parent partitions in index order")
+            raise StepReplayError(f"record {i}: {len(rec.pieces)} pieces, expected {count}")
+        if not all(isinstance(piece, Partition) and piece.total == u for piece in rec.pieces):
+            raise StepReplayError(f"record {i}: a piece is not a partition of {u}")
+        if Partition.of(scale * x for piece in rec.pieces for x in piece.parts) != source:
+            raise StepReplayError(f"record {i} does not rebuild the parent's partition {source}")
+        pieces.extend(rec.pieces)
     roles = [rec.role for rec in step.records]
     thirds = int(ROLE_THIRD in shape)
     if roles.count(ROLE_PAIR) != 2 or roles.count(ROLE_THIRD) != thirds:
         raise StepReplayError(f"{step.theorem} needs two pair-role records and {thirds} third")
-    if step.child.partitions != tuple(sorted(nontrivial, key=lambda p: p.sort_key)):
-        raise StepReplayError("child datum does not match the recorded pieces")
-    try:
-        parent = CandidateDatum(sources[0].total, tuple(sources))
-    except ValueError:
-        raise StepReplayError("a rebuilt partition is not the parent's at its record's index") from None
-    if rh_defect(parent) != 0:
-        raise StepReplayError("the replayed parent is not balanced")
-    return parent
+    return CandidateDatum.make(u, pieces)
 
 
 def _children(
     theorem: str, datum: CandidateDatum, match: StructureMatch, third: int | None = None,
     t: int | None = None, splits: Splits | None = None,
-) -> Iterator[ReductionStep]:
-    """Deduplicated steps of ``theorem`` over the cartesian product of every role's splits.
+) -> Iterator[tuple[ReductionStep, CandidateDatum]]:
+    """Deduplicated (step, child) pairs of ``theorem`` over the cartesian
+    product of every role's splits.
 
     The datum must be balanced and ``match.reductions`` must hold a row for
     ``theorem``, ``third`` and ``t``; the child degree u is that row's.
     Otherwise iterating raises a ValueError.  The children are then balanced
-    (see :func:`replay`).  The roles are pair i, pair j,
-    the third (if any), then the other partitions in ``match.other_gcds``
-    order; each source is divided by its role's scale and split into its
-    piece count.  Empty when some role has no split.  A one-piece role
-    (thm1's pair) is its own only split, so it skips :func:`decompose`.
+    (see :func:`replay`, which rebuilds each from its step and the datum).
+    The roles are pair i, pair j, the third (if any), then the other
+    partitions in ``match.other_gcds`` order; each source is divided by its
+    role's scale and split into its piece count.  Empty when some role has
+    no split.  A one-piece role (thm1's pair) is its own only split, so it
+    skips :func:`decompose`.
     ``splits`` maps (source, count) to that source's splits: a miss calls
     :func:`decompose` and stores its answer, so one dict shared by many calls
     builds each split once.  Without one, the call gets a fresh dict.
@@ -202,20 +188,21 @@ def _children(
         if not options:
             return
         option_lists.append(options)
+    # the records follow the parent's partitions; slot k holds partition slots[k][0]
+    order = sorted(range(len(slots)), key=lambda k: slots[k][0])
     seen = set()
     for combo in iproduct(*option_lists):
         child = CandidateDatum.make(u, [g for groups in combo for g in groups])
         if child in seen:
             continue
         seen.add(child)
-        records = sorted((SplitRecord(m, role, groups) for (m, role), groups in zip(slots, combo)),
-                         key=lambda rec: rec.index)
-        yield ReductionStep(theorem, s, t, tuple(records), child)
+        records = tuple(SplitRecord(slots[k][1], combo[k]) for k in order)
+        yield ReductionStep(theorem, s, t, records), child
 
 
 def children_thm1(
     datum: CandidateDatum, match: StructureMatch, splits: Splits | None = None
-) -> Iterator[ReductionStep]:
+) -> Iterator[tuple[ReductionStep, CandidateDatum]]:
     """Children of degree d/s for an s-divisible pair; empty when some other
     partition admits no split into s partitions of d'."""
     return _children("thm1", datum, match, splits=splits)
@@ -224,13 +211,13 @@ def children_thm1(
 def children_thm2(
     datum: CandidateDatum, match: StructureMatch, third: int, t: int,
     splits: Splits | None = None,
-) -> Iterator[ReductionStep]:
+) -> Iterator[tuple[ReductionStep, CandidateDatum]]:
     """Children of degree d'/t for a 2-divisible pair and a t-divisible third."""
     return _children("thm2", datum, match, third, t, splits)
 
 
 def children_thm3(
     datum: CandidateDatum, match: StructureMatch, third: int, splits: Splits | None = None
-) -> Iterator[ReductionStep]:
+) -> Iterator[tuple[ReductionStep, CandidateDatum]]:
     """Children of degree d'/4 for a 3-divisible pair and an all-even third."""
     return _children("thm3", datum, match, third, splits=splits)

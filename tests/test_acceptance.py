@@ -21,6 +21,7 @@ from hurwitz.engine import DecisionEngine, decide, scan, verify
 from hurwitz.oracle import SearchBudget, check_witness
 from hurwitz.oracle import decide as oracle_decide
 from hurwitz.partitions import (
+    CandidateDatum,
     Partition,
     decompose,
     enumerate_candidates,
@@ -101,7 +102,7 @@ def test_criterion_thm1_equivalence_scan():
             parent = oracle_status(datum)
             assert parent != UNKNOWN
             for match in matches:
-                child_statuses = [oracle_status(s.child) for s in children_thm1(datum, match)]
+                child_statuses = [oracle_status(child) for _, child in children_thm1(datum, match)]
                 assert UNKNOWN not in child_statuses
                 derived = REALIZABLE if REALIZABLE in child_statuses else EXCEPTIONAL
                 if derived != parent:
@@ -121,8 +122,7 @@ def test_criterion_thm2_thm3_spot_equivalences():
     match = [m for m in detect_structures(klein) if m.pair == (0, 1)][0]
     klein_children = list(children_thm2(klein, match, third=2, t=2))
     klein_ok = (
-        [s.child.degree for s in klein_children] == [1]
-        and not klein_children[0].child.partitions
+        [child for _, child in klein_children] == [CandidateDatum(1, ())]
         and oracle_status(klein) == REALIZABLE
         and decide(klein).method == "reduction:thm2"
     )
@@ -131,8 +131,7 @@ def test_criterion_thm2_thm3_spot_equivalences():
     match3 = [m for m in detect_structures(tetra) if m.divisor == 3][0]
     tetra_children = list(children_thm3(tetra, match3, third=match3.other_gcds[0][0]))
     tetra_ok = (
-        [s.child.degree for s in tetra_children] == [1]
-        and not tetra_children[0].child.partitions
+        [child for _, child in tetra_children] == [CandidateDatum(1, ())]
         and oracle_decide(tetra, BUDGET).status == REALIZABLE
         and decide(tetra).method == "reduction:thm3"
     )

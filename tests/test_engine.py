@@ -151,7 +151,6 @@ def test_verify_rejects_malformed_chain():
     rec = step.records[0]
     bad_records = [
         None,
-        dataclasses.replace(rec, index="0"),
         dataclasses.replace(rec, role=None),
         dataclasses.replace(rec, pieces=None),
         dataclasses.replace(rec, pieces=tuple(piece.parts for piece in rec.pieces)),
@@ -160,22 +159,20 @@ def test_verify_rejects_malformed_chain():
     bad_steps = [dataclasses.replace(step, records=(bad,) + step.records[1:]) for bad in bad_records]
     bad_steps += [
         dataclasses.replace(step, records=list(step.records)),
-        dataclasses.replace(step, child="1:"),
         dataclasses.replace(step, theorem=["thm2"]),
+        None,
     ]
     for bad in bad_steps:
         with pytest.raises(StepReplayError):
-            replay(bad)
+            replay(bad, datum)
         bad_chain = ReductionChain((bad,), chain.base)
         assert verify(dataclasses.replace(verdict, certificate=bad_chain), datum) is False, bad
 
-    # forged records whose pieces match their role; each child is rebuilt
-    # from the pieces, so only the records' index and role checks can fail
+    # forged records whose pieces match their role, so only the rebuild and
+    # role checks can fail
     def forge(datum, match, edit):
-        step = next(iter(reduction_mod.children_thm1(datum, match)))
-        records = edit(list(step.records))
-        child = CandidateDatum.make(step.child.degree, [g for r in records for g in r.pieces])
-        return dataclasses.replace(step, records=tuple(records), child=child)
+        step, _ = next(iter(reduction_mod.children_thm1(datum, match)))
+        return dataclasses.replace(step, records=tuple(edit(list(step.records))))
 
     def ones(records):
         # the [3,2,2,1,1] record's pieces rebuilding [1]*9, which a datum drops
@@ -187,28 +184,28 @@ def test_verify_rejects_malformed_chain():
         records[1] = dataclasses.replace(records[1], role="other", pieces=records[2].pieces)
         return records
 
-    def same_index(records):
-        records[1] = dataclasses.replace(records[1], index=0)
+    def a_third(records):
+        # thm1 has no third role
+        records[2] = dataclasses.replace(records[2], role="third")
         return records
 
     for text, edit, error in (
-        ("9: [3,3,3] [3,3,3] [3,2,2,1,1]", ones, "not the parent's at its record's index"),
+        ("9: [3,3,3] [3,3,3] [3,2,2,1,1]", ones, "does not rebuild"),
         ("4: [2,2] [2,2] [2,2]", one_pair, "two pair-role records"),
-        ("4: [2,2] [2,2] [2,2]", same_index, "index order"),
+        ("4: [2,2] [2,2] [2,2]", a_third, "not allowed in thm1"),
     ):
         datum = D(text)
         match = [m for m in detect_structures(datum) if m.pair == (0, 1)][0]
         bad = forge(datum, match, edit)
         with pytest.raises(StepReplayError, match=error):
-            replay(bad)
+            replay(bad, datum)
         forged = Verdict(REALIZABLE, "reduction:thm1", certificate=ReductionChain((bad,), chain.base))
         assert verify(forged, datum) is False, text
 
 
 def test_shared_divisor_chains_verify_and_reject_index_swaps():
     # every verdict of one engine verifies; in every chain step, swapping the
-    # indices of two same-role records that rebuild different partitions is
-    # rejected, whether or not the records are then put back in index order
+    # positions of any two records whose parent partitions differ is rejected
     engine = DecisionEngine()
     chains = forgeries = 0
     for datum in _shared_divisor_data((8, 4), (12, 3), (14, 3), (15, 3), (12, 4)):
@@ -218,36 +215,37 @@ def test_shared_divisor_chains_verify_and_reject_index_swaps():
         if not isinstance(chain, ReductionChain):
             continue
         chains += 1
+        parent = datum
         for k, step in enumerate(chain.steps):
-            recs = step.records
-            swap = next(((a, b) for a in range(len(recs)) for b in range(a + 1, len(recs))
-                         if recs[a].role == recs[b].role
-                         and sorted(x for p in recs[a].pieces for x in p.parts)
-                         != sorted(x for p in recs[b].pieces for x in p.parts)), None)
-            if swap is None:
-                continue
-            a, b = swap
-            swapped = list(recs)
-            swapped[a] = dataclasses.replace(recs[a], index=recs[b].index)
-            swapped[b] = dataclasses.replace(recs[b], index=recs[a].index)
-            for records in (swapped, sorted(swapped, key=lambda r: r.index)):
-                bad = dataclasses.replace(step, records=tuple(records))
-                with pytest.raises(StepReplayError):
-                    replay(bad)
-                steps = chain.steps[:k] + (bad,) + chain.steps[k + 1:]
-                forged = dataclasses.replace(verdict, certificate=ReductionChain(steps, chain.base))
-                assert verify(forged, datum) is False, datum.render()
-            forgeries += 1
-    assert (chains, forgeries) == (2608, 2498)
+            ps = parent.partitions
+            for a in range(len(ps)):
+                for b in range(a + 1, len(ps)):
+                    if ps[a] == ps[b]:
+                        continue
+                    records = list(step.records)
+                    records[a], records[b] = records[b], records[a]
+                    bad = dataclasses.replace(step, records=tuple(records))
+                    with pytest.raises(StepReplayError):
+                        replay(bad, parent)
+                    steps = chain.steps[:k] + (bad,) + chain.steps[k + 1:]
+                    forged = dataclasses.replace(verdict, certificate=ReductionChain(steps, chain.base))
+                    assert verify(forged, datum) is False, datum.render()
+                    forgeries += 1
+            parent = replay(step, parent)
+    assert (chains, forgeries) == (2608, 11460)
 
 
 def test_chain_child_of_non_int_degree_cannot_be_built():
-    # the last child of this songxu chain, replaced by a float-degree datum,
-    # once replayed and then crashed check_witness inside verify()
+    # the last child of this songxu chain is rebuilt by replay with an int
+    # degree; a float-degree datum, which once crashed check_witness inside
+    # verify(), cannot be built at all
     datum = D("8: [4,4] [2,2,2,2] [2,2,2,2]")
     verdict = decide(datum)
     assert verdict.method == "songxu" and verify(verdict, datum)
-    assert verdict.certificate.steps[-1].child == CandidateDatum(1, ())
+    child = datum
+    for step in verdict.certificate.steps:
+        child = replay(step, child)
+    assert child == CandidateDatum(1, ()) and type(child.degree) is int
     for degree in (1.0, True, "1", None):
         with pytest.raises(ValueError, match="degree must be a positive int"):
             CandidateDatum(degree, ())
@@ -290,6 +288,25 @@ def test_verify_rejects_exceptional_claims_on_unbalanced_data():
         assert verify(Verdict(EXCEPTIONAL, "rh"), datum)
         for method in ("filter:cor1.parts", "oracle", "reduction:thm1", "songxu"):
             assert verify(Verdict(EXCEPTIONAL, method), datum) is False, (text, method)
+
+
+def test_verify_rejects_realizable_claims_on_unbalanced_data():
+    # four transpositions of 2 points and three equal 3-cycles have product 1
+    # and act transitively, but they make torus covers (Riemann-Hurwitz), so
+    # no realizable claim holds on these unbalanced data
+    for text, perm, n in (("2: [2] [2] [2] [2]", (1, 0), 4), ("3: [3] [3] [3]", (1, 2, 0), 3)):
+        datum = D(text)
+        assert rh_defect(datum) == 2 and decide(datum).method == "rh"
+        witness = ConstellationWitness(datum.degree, (perm,) * n)
+        assert oracle_mod.check_witness(datum, witness)
+        for certificate in (witness, ReductionChain((), witness)):
+            assert verify(Verdict(REALIZABLE, "oracle", certificate=certificate), datum) is False, text
+
+
+def test_verify_rejects_non_str_methods():
+    klein = D("4: [2,2] [2,2] [2,2]")
+    for method in (None, 5, ("x",)):
+        assert verify(Verdict(EXCEPTIONAL, method), klein) is False, method
 
 
 def test_two_point_datum_above_the_degree_bound_is_unknown():
@@ -534,6 +551,40 @@ def test_scan_parallel_matches_serial():
     serial = scan(5, 3, jobs=1)
     parallel = scan(5, 3, jobs=2)
     assert serial.rows == parallel.rows
+
+
+def test_scan_starts_no_more_workers_than_cpus_or_candidates(monkeypatch):
+    # a process pool starts every worker up front, so a huge --jobs must not
+    # reach it; the pool here only records its size and maps in-process
+    import concurrent.futures
+    import os
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    serial = scan(4, 3)
+    assert scan(4, 3, jobs=10**6).rows == serial.rows
+    assert all(w <= (os.cpu_count() or 1) for w in started), started
+    started.clear()
+    for cpus in (3, 1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert scan(4, 3, jobs=10**6).rows == serial.rows
+    assert started == [3]
+    started.clear()
+    assert scan(1, 3, jobs=10**6).rows == [] and started == []  # no candidates, no pool
 
 
 def test_pipeline_agrees_with_oracle_alone():

@@ -40,7 +40,7 @@ def test_thm1_quotients_and_drops_trivial():
     datum = D("6: [2,2,2] [2,2,2] [3,3]")
     match = match_for(datum, [[2, 2, 2], [2, 2, 2]], 2)
     steps = list(children_thm1(datum, match))
-    assert [s.child for s in steps] == [CandidateDatum.make(3, [[3], [3]])]
+    assert [child for _, child in steps] == [CandidateDatum.make(3, [[3], [3]])]
 
 
 def test_thm1_empty_when_no_split_exists():
@@ -53,7 +53,7 @@ def test_thm1_klein():
     datum = D("4: [2,2] [2,2] [2,2]")
     match = detect_structures(datum)[0]
     steps = list(children_thm1(datum, match))
-    assert [s.child for s in steps] == [CandidateDatum.make(2, [[2], [2]])]
+    assert [child for _, child in steps] == [CandidateDatum.make(2, [[2], [2]])]
 
 
 def test_thm1_children_are_balanced_and_replayable():
@@ -65,9 +65,9 @@ def test_thm1_children_are_balanced_and_replayable():
     ):
         datum = D(text)
         for match in detect_structures(datum):
-            for step in children_thm1(datum, match):
-                assert rh_defect(step.child) == 0
-                assert replay(step) == datum
+            for step, child in children_thm1(datum, match):
+                assert rh_defect(child) == 0
+                assert replay(step, datum) == child
 
 
 # -- thm2 --
@@ -77,8 +77,8 @@ def test_thm2_collapses_klein_to_degree_one():
     datum = D("4: [2,2] [2,2] [2,2]")
     match = [m for m in detect_structures(datum) if m.pair == (0, 1)][0]
     steps = list(children_thm2(datum, match, third=2, t=2))
-    assert [s.child for s in steps] == [CandidateDatum.make(1, [])]
-    assert replay(steps[0]) == datum
+    assert [child for _, child in steps] == [CandidateDatum.make(1, [])]
+    assert replay(steps[0][0], datum) == CandidateDatum.make(1, [])
 
 
 def test_thm2_degree_eight_pair():
@@ -86,9 +86,9 @@ def test_thm2_degree_eight_pair():
     datum = D("8: [4,4] [2,2,2,2] [2,2,2,2]")
     match = [m for m in detect_structures(datum) if m.pair == (0, 1)][0]
     steps = list(children_thm2(datum, match, third=2, t=2))
-    assert [s.child for s in steps] == [CandidateDatum.make(2, [[2], [2]])]
+    assert [child for _, child in steps] == [CandidateDatum.make(2, [[2], [2]])]
     # the equivalence direction: that child is realizable, and so is the parent
-    assert oracle_decide(steps[0].child).status == REALIZABLE
+    assert oracle_decide(steps[0][1]).status == REALIZABLE
     assert oracle_decide(datum).status == REALIZABLE
 
 
@@ -108,8 +108,8 @@ def test_thm3_tetrahedral_to_degree_one():
     datum = D("12: [3,3,3,3] [3,3,3,3] [2,2,2,2,2,2]")
     match = [m for m in detect_structures(datum) if m.divisor == 3][0]
     steps = list(children_thm3(datum, match, third=match.other_gcds[0][0]))
-    assert [s.child for s in steps] == [CandidateDatum.make(1, [])]
-    assert replay(steps[0]) == datum
+    assert [child for _, child in steps] == [CandidateDatum.make(1, [])]
+    assert replay(steps[0][0], datum) == CandidateDatum.make(1, [])
 
 
 def test_thm3_gate_examples():
@@ -131,7 +131,7 @@ def test_thm3_gate_examples():
 def test_replay_rejects_tampering():
     datum = D("6: [2,2,2] [2,2,2] [3,3]")
     match = match_for(datum, [[2, 2, 2], [2, 2, 2]], 2)
-    step = next(iter(children_thm1(datum, match)))
+    step, _ = next(iter(children_thm1(datum, match)))
     record = step.records[-1]
     tampered_record = dataclasses.replace(
         record, pieces=(record.pieces[0], Partition.of([2, 1]))
@@ -140,7 +140,7 @@ def test_replay_rejects_tampering():
         step, records=step.records[:-1] + (tampered_record,)
     )
     with pytest.raises(StepReplayError):
-        replay(tampered)
+        replay(tampered, datum)
 
 
 @pytest.mark.parametrize(
@@ -165,65 +165,69 @@ def test_replay_checks_fixed_parameters(text, theorem, s, t):
     datum = D(text)
     match = detect_structures(datum)[0]
     if theorem == "thm1":
-        step = next(iter(children_thm1(datum, match)))
+        step, child = next(iter(children_thm1(datum, match)))
     elif theorem == "thm2":
-        step = next(iter(children_thm2(datum, match, third=2, t=2)))
+        step, child = next(iter(children_thm2(datum, match, third=2, t=2)))
     else:
-        step = next(iter(children_thm3(datum, match, third=match.other_gcds[0][0])))
-    assert replay(step) == datum
+        step, child = next(iter(children_thm3(datum, match, third=match.other_gcds[0][0])))
+    assert replay(step, datum) == child
     with pytest.raises(StepReplayError):
-        replay(dataclasses.replace(step, s=s, t=t))
+        replay(dataclasses.replace(step, s=s, t=t), datum)
 
 
 def test_replay_rejects_wrong_child():
+    # a step stores no child: replay rebuilds it from the parent it is given,
+    # so replaying from a parent the records do not rebuild, which would
+    # yield another datum's child, is an error
     datum = D("4: [2,2] [2,2] [2,2]")
     match = detect_structures(datum)[0]
-    step = next(iter(children_thm1(datum, match)))
-    tampered = dataclasses.replace(step, child=CandidateDatum.make(2, []))
-    with pytest.raises(StepReplayError):
-        replay(tampered)
-
-
-def _forged_child(degree, partitions):
-    # a datum value that skips CandidateDatum's own validation
-    child = object.__new__(CandidateDatum)
-    object.__setattr__(child, "degree", degree)
-    object.__setattr__(child, "partitions", tuple(partitions))
-    return child
+    step, child = next(iter(children_thm1(datum, match)))
+    assert replay(step, datum) == child
+    for text, message in (
+        ("4: [2,2] [2,2] [3,1]", "rebuild"),
+        ("4: [2,2] [2,2] [2,2] [2,2]", "one per parent"),
+        ("4: [2,2] [2,2]", "one per parent"),
+        ("2: [2] [2] [2]", "piece"),
+    ):
+        with pytest.raises(StepReplayError, match=message):
+            replay(step, D(text))
 
 
 def _forgeries():
-    """Steps whose records or child are forged so that one check on the
-    rebuilt values fails, with the datum each claims as parent and a word of
-    the expected message."""
+    """Steps whose records are forged so that one check on the rebuilt values
+    fails, with the datum each claims as parent and a word of the expected
+    message."""
     six = D("6: [2,2,2] [2,2,2] [3,3]")
-    step = next(iter(children_thm1(six, match_for(six, [[2, 2, 2], [2, 2, 2]], 2))))
-    other, pair_a, pair_b = step.records  # [3,3] at index 0, the two [2,2,2] at 1 and 2
-    swapped = (dataclasses.replace(pair_a, index=0), dataclasses.replace(pair_b, index=1),
-               dataclasses.replace(other, index=2))
+    step, _ = next(iter(children_thm1(six, match_for(six, [[2, 2, 2], [2, 2, 2]], 2))))
+    other, pair_a, pair_b = step.records  # [3,3] first, then the two [2,2,2]
     # [2,2,2] [2,2,2] [3,3] is out of canonical order
-    yield pytest.param(six, dataclasses.replace(step, records=swapped), "not the parent's",
+    yield pytest.param(six, dataclasses.replace(step, records=(pair_a, pair_b, other)), "rebuild",
                        id="sources-out-of-order")
     ones = dataclasses.replace(other, pieces=(Partition.of([1, 1, 1]),) * 2)
-    all_ones = dataclasses.replace(step, records=(ones, pair_a, pair_b), child=CandidateDatum.make(3, []))
-    yield pytest.param(six, all_ones, "not the parent's", id="all-ones-source")
-    yield pytest.param(six, dataclasses.replace(step, child=_forged_child(3, step.child.partitions[:1])),
-                       "child", id="child-drops-a-nontrivial-piece")
-    kept = _forged_child(3, step.child.partitions + (Partition.of([1, 1, 1]),))
-    yield pytest.param(six, dataclasses.replace(step, child=kept), "child", id="child-keeps-a-trivial-piece")
-    # every piece of 4: [2,2] [2,2] [2,2] under thm2 is [1]: the child is 1: with no partitions
+    yield pytest.param(six, dataclasses.replace(step, records=(ones, pair_a, pair_b)), "rebuild",
+                       id="all-ones-source")
+    yield pytest.param(six, dataclasses.replace(step, records=step.records[:2]), "one per parent",
+                       id="record-missing")
+    # every piece of 4: [2,2] [2,2] [2,2] under thm2 is [1]; pieces [2] claim a child of degree 2
     klein = D("4: [2,2] [2,2] [2,2]")
     match = [m for m in detect_structures(klein) if m.pair == (0, 1)][0]
-    step = next(iter(children_thm2(klein, match, third=2, t=2)))
-    yield pytest.param(klein, dataclasses.replace(step, child=CandidateDatum.make(2, [])), "piece",
-                       id="child-of-another-degree")
+    step, _ = next(iter(children_thm2(klein, match, third=2, t=2)))
+    twos = tuple(dataclasses.replace(r, pieces=(Partition.of([2]),) * len(r.pieces)) for r in step.records)
+    yield pytest.param(klein, dataclasses.replace(step, records=twos), "piece", id="child-of-another-degree")
+    # [3,2,2,1,1] rebuilt from pieces of totals 5, 3 and 1 instead of three of 3
+    nine = D("9: [3,3,3] [3,3,3] [3,2,2,1,1]")
+    step, _ = next(iter(children_thm1(nine, match_for(nine, [[3, 3, 3], [3, 3, 3]], 3))))
+    uneven = dataclasses.replace(step.records[2], pieces=(Partition.of([3, 2]), Partition.of([2, 1]),
+                                                          Partition.of([1])))
+    yield pytest.param(nine, dataclasses.replace(step, records=step.records[:2] + (uneven,)), "piece",
+                       id="pieces-of-unequal-totals")
 
 
 @pytest.mark.parametrize("datum, step, message", _forgeries())
 def test_replay_rejects_forged_rebuilt_values(datum, step, message):
     with pytest.raises(StepReplayError, match=message):
-        replay(step)
-    chain = ReductionChain((step,), ConstellationWitness(step.child.degree, ()))
+        replay(step, datum)
+    chain = ReductionChain((step,), ConstellationWitness(1, ()))
     forged = Verdict(REALIZABLE, f"reduction:{step.theorem}", certificate=chain)
     assert verify(forged, datum) is False
 
@@ -246,7 +250,7 @@ def test_thm1_equivalence_sample():
         datum = D(text)
         parent = oracle_decide(datum).status
         for match in detect_structures(datum):
-            statuses = [oracle_decide(s.child).status for s in children_thm1(datum, match)]
+            statuses = [oracle_decide(child).status for _, child in children_thm1(datum, match)]
             derived = REALIZABLE if REALIZABLE in statuses else "exceptional"
             assert derived == parent
 
@@ -270,8 +274,8 @@ def test_thm2_equivalence_sweep():
                             if parent is None:
                                 parent = oracle_decide(datum).status
                             statuses = [
-                                oracle_decide(s.child).status
-                                for s in children_thm2(datum, match, third, t)
+                                oracle_decide(child).status
+                                for _, child in children_thm2(datum, match, third, t)
                             ]
                             derived = REALIZABLE if REALIZABLE in statuses else "exceptional"
                             assert derived == parent, (datum.render(), match.pair, third, t)
@@ -291,9 +295,9 @@ def test_every_plan_step_replays():
         for degree in range(2, degree_max + 1):
             for datum in enumerate_candidates(degree, n):
                 for plan in _reduction_plans(detect_structures(datum)):
-                    for step in _plan_children(datum, plan, splits):
-                        assert replay(step) == datum, (datum.render(), step.theorem)
-                        assert rh_defect(step.child) == 0
+                    for step, child in _plan_children(datum, plan, splits):
+                        assert replay(step, datum) == child, (datum.render(), step.theorem)
+                        assert rh_defect(child) == 0
                         counts[step.theorem] += 1
     assert counts == {"thm1": 2673, "thm2": 45, "thm3": 1}
 
