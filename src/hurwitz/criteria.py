@@ -265,21 +265,18 @@ def _half_uniform_excess(p: Partition) -> int | None:
 
 
 def match_songxu_shape(datum: CandidateDatum) -> tuple[int, int, int, Partition] | None:
-    """Detect the double-cover family shape; returns (k, x, y, first) or None."""
+    """Detect the double-cover family shape on a balanced datum; returns
+    (k, x, y, first) or None.  Balance gives ``first`` its x + y parts:
+    [2,...,2,2y] has k - y + 1, and the three lengths sum to 2k + 2."""
     if len(datum.partitions) != 3 or datum.degree % 2 or datum.degree < 6:
         return None
     k = datum.degree // 2
     ps = datum.partitions
     for a, b in ((0, 1), (0, 2), (1, 2)):
-        rest = 3 - a - b
         y = _half_uniform_excess(ps[a])
         x = _half_uniform_excess(ps[b])
-        if y is None or x is None:
-            continue
-        first = ps[rest]
-        if len(first) != x + y:
-            continue
-        return (k, x, y, first)
+        if y is not None and x is not None:
+            return (k, x, y, ps[3 - a - b])
     return None
 
 

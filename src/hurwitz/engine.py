@@ -30,8 +30,8 @@ structure detection reads, and the reduction splits it has built on
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterator
 
 from . import oracle as oracle_mod
 from .criteria import (
@@ -163,46 +163,33 @@ class DecisionEngine:
     def _try_reductions(
         self, datum: CandidateDatum, matches: tuple[StructureMatch, ...]
     ) -> Verdict | None:
-        """Realizable/exceptional via some structure, or None when undecided."""
-        for plan in _reduction_plans(matches):
-            method = _REDUCTION_METHODS[plan[0][1]]
+        """Realizable/exceptional via some structure, or None when undecided.
+
+        Each admitted row (theorem, third, t, u) of a structure is a plan; plans
+        run by child degree u, then table order, then detection order (pairs,
+        divisors ascending, thirds in ``other_gcds`` order; one t per third and u).
+        """
+        plans = sorted(((row, match) for match in matches for row in match.reductions),
+                       key=lambda plan: (plan[0][3], plan[0][0]))
+        for (theorem, third, t, _), match in plans:
+            if theorem == "thm1":
+                children = children_thm1(datum, match, self._splits)
+            elif theorem == "thm2":
+                children = children_thm2(datum, match, third, t, self._splits)
+            else:
+                children = children_thm3(datum, match, third, self._splits)
             complete = True
-            for step, child in _plan_children(datum, plan, self._splits):
+            for step, child in children:
                 child_verdict = self._lookup(child)
                 if child_verdict.status == REALIZABLE:
                     chain = _extend_chain(step, child_verdict.certificate)
-                    return Verdict(REALIZABLE, method, certificate=chain)
+                    return Verdict(REALIZABLE, _REDUCTION_METHODS[theorem], certificate=chain)
                 if child_verdict.status == UNKNOWN:
                     complete = False
             if complete:
                 # the enumeration is exhaustive, so no realizable child exists
-                return Verdict(EXCEPTIONAL, method)
+                return Verdict(EXCEPTIONAL, _REDUCTION_METHODS[theorem])
         return None
-
-
-def _reduction_plans(
-    matches: tuple[StructureMatch, ...],
-) -> list[tuple[tuple, StructureMatch, int | None, int | None]]:
-    """Every admissible role assignment as (key, match, third, t), cheapest child
-    degree first; ``key`` is (child degree, theorem, pair, third or divisor, t or 0)."""
-    plans = [((u, theorem, match.pair, match.divisor if third is None else third, t or 0),
-              match, third, t)
-             for match in matches for theorem, third, t, u in match.reductions]
-    plans.sort(key=lambda plan: plan[0])
-    return plans
-
-
-def _plan_children(
-    datum: CandidateDatum, plan: tuple, splits: Splits
-) -> Iterator[tuple[ReductionStep, CandidateDatum]]:
-    """The (step, child) pairs of one plan from :func:`_reduction_plans`; ``splits``
-    is the memo of :func:`hurwitz.reduction._children`."""
-    key, match, third, t = plan
-    if key[1] == "thm1":
-        return children_thm1(datum, match, splits)
-    if key[1] == "thm2":
-        return children_thm2(datum, match, third, t, splits)
-    return children_thm3(datum, match, third, splits)
 
 
 def _extend_chain(step: ReductionStep, certificate) -> ReductionChain:
@@ -230,11 +217,15 @@ def verify(verdict: Verdict, datum: CandidateDatum) -> bool:
     filter verdict naming a rule that does not fire is rejected, and so is
     one naming a corollary length rule.  Exceptional verdicts from the
     search or a reduction carry no certificate; for those only balance and
-    three partitions are checked.  A malformed verdict is rejected: a
-    method that is not a string, a witness not a tuple of permutations of
-    the right lengths, or a chain whose steps, fields or base are of the
-    wrong type.  An exception raised while checking propagates, so a crash
-    in a checker is never reported as "invalid".
+    three partitions are checked.  An unknown verdict passes only on
+    balanced data and only as the library emits it: on fewer than three
+    partitions ``degree-limit`` from ``oracle``, or from ``base-case`` above
+    ``TWO_POINT_DEGREE_MAX``; otherwise ``sample`` or ``oracle`` out of
+    ``budget``, or ``oracle`` at its ``degree-limit``.  A malformed verdict
+    is rejected: a method that is not a string, a witness not a tuple of
+    permutations of the right lengths, or a chain whose steps, fields or
+    base are of the wrong type.  An exception raised while checking
+    propagates, so a crash in a checker is never reported as "invalid".
     """
     balanced = rh_defect(datum) == 0
     if verdict.status == REALIZABLE:
@@ -263,8 +254,13 @@ def verify(verdict: Verdict, datum: CandidateDatum) -> bool:
             shape = match_songxu_shape(datum)
             return shape is not None and not songxu_decide(*shape)
         return method.startswith("reduction:") or method == "oracle"
-    if verdict.status == UNKNOWN:
-        return verdict.limit in (LIMIT_DEGREE, LIMIT_BUDGET)
+    if verdict.status == UNKNOWN and balanced:
+        claim = (verdict.method, verdict.limit)
+        if len(datum.partitions) < 3:
+            return claim == ("oracle", LIMIT_DEGREE) or (
+                claim == ("base-case", LIMIT_DEGREE)
+                and datum.degree > oracle_mod.TWO_POINT_DEGREE_MAX)
+        return claim in (("sample", LIMIT_BUDGET), ("oracle", LIMIT_BUDGET), ("oracle", LIMIT_DEGREE))
     return False
 
 
@@ -285,28 +281,35 @@ def _verify_chain(datum: CandidateDatum, chain: ReductionChain) -> bool:
 
 @dataclass
 class ScanReport:
-    """Dual adjudication of every candidate in a range: one row each, the
-    pipeline/search disagreements, and per-(d, n) counts by status and method."""
+    """Dual adjudication of every candidate in a range, one row each; the
+    pipeline/search disagreements and per-(d, n) counts are read from them."""
 
     rows: list[dict] = field(default_factory=list)
-    disagreements: list[str] = field(default_factory=list)
-    counts: dict[tuple[int, int], dict[str, int]] = field(default_factory=dict)
-    methods: dict[tuple[int, int], dict[str, int]] = field(default_factory=dict)
+
+    @property
+    def disagreements(self) -> list[str]:
+        """The inputs whose pipeline and search statuses conflict."""
+        return [row["input"] for row in self.rows
+                if {row["status"], row["oracle_status"]} == {REALIZABLE, EXCEPTIONAL}]
 
     def summary_lines(self) -> list[str]:
-        lines = []
-        for (d, n) in sorted(self.counts):
-            cell = self.counts[(d, n)]
-            total = sum(cell.values())
-            methods = self.methods[(d, n)]
-            lines.append(
-                f"d={d} n={n}: total={total} realizable={cell.get(REALIZABLE, 0)}"
-                f" exceptional={cell.get(EXCEPTIONAL, 0)} unknown={cell.get(UNKNOWN, 0)}"
-                " by method: " + " ".join(f"{m}={methods[m]}" for m in sorted(methods))
-            )
-        lines.append(f"disagreements: {len(self.disagreements)}")
-        for text in self.disagreements:
-            lines.append(f"  DISAGREE {text}")
+        """One line per (d, n) cell, counting a pipeline ``unknown`` by the
+        search's status, then the disagreements."""
+        counts: dict[tuple[int, int], tuple[Counter, Counter]] = {}
+        for row in self.rows:
+            key = (row["degree"], len(row["partitions"]))
+            cell, methods = counts.setdefault(key, (Counter(), Counter()))
+            cell[row["oracle_status"] if row["status"] == UNKNOWN else row["status"]] += 1
+            methods[row["method"]] += 1
+        lines = [
+            f"d={d} n={n}: total={cell.total()} realizable={cell[REALIZABLE]}"
+            f" exceptional={cell[EXCEPTIONAL]} unknown={cell[UNKNOWN]}"
+            " by method: " + " ".join(f"{m}={methods[m]}" for m in sorted(methods))
+            for (d, n), (cell, methods) in sorted(counts.items())
+        ]
+        disagreements = self.disagreements
+        lines.append(f"disagreements: {len(disagreements)}")
+        lines += [f"  DISAGREE {text}" for text in disagreements]
         return lines
 
 
@@ -333,16 +336,15 @@ def scan(
     """Adjudicate every candidate with d <= degree_max and n <= branch_points_max.
 
     Each candidate is decided twice, by the full pipeline and by the search
-    alone, and any realizable/exceptional conflict is reported (there must
-    be none).  The report also carries per-(d, n) counts by status and by
-    the pipeline's method.  Up to ``jobs`` worker processes share the
+    alone, and the report holds one row per candidate, in enumeration order;
+    its summary reads the conflicts (there must be none) and per-(d, n)
+    counts from them.  Up to ``jobs`` worker processes share the
     candidates, never more than there are candidates or CPUs, and a scan that
     would get one runs in this process; ``jobs`` must be at least 1.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     budget = budget or SearchBudget()
-    report = ScanReport()
 
     tasks = [(datum.render(), budget)
              for d in range(2, degree_max + 1)
@@ -357,15 +359,4 @@ def scan(
             results = list(pool.map(_scan_one, tasks, chunksize=8))
     else:
         results = [_scan_one(task) for task in tasks]
-
-    for row in results:
-        report.rows.append(row)
-        status = row["oracle_status"] if row["status"] == UNKNOWN else row["status"]
-        key = (row["degree"], len(row["partitions"]))
-        cell = report.counts.setdefault(key, {})
-        cell[status] = cell.get(status, 0) + 1
-        methods = report.methods.setdefault(key, {})
-        methods[row["method"]] = methods.get(row["method"], 0) + 1
-        if {row["status"], row["oracle_status"]} == {REALIZABLE, EXCEPTIONAL}:
-            report.disagreements.append(row["input"])
-    return report
+    return ScanReport(results)

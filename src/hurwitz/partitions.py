@@ -73,9 +73,6 @@ class Partition:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
     def __str__(self) -> str:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -57,6 +58,20 @@ def test_check_json_fields(capsys):
     assert payload["input"] == "8: [5,3] [2,2,2,2] [3,2,2,1]"
 
 
+def test_check_prints_the_chain(capsys):
+    assert main(["check", "8: [4,4] [2,2,2,2] [2,2,2,2]"]) == 0
+    assert "chain:     thm2(s=2,t=4) d=1; base: witness ()\n" in capsys.readouterr().out
+
+
+def test_check_prints_the_limit(capsys):
+    assert main(["check", "5: [4,1] [3,2] [2,2,1]", "--max-nodes", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "method:    sample\nlimit:     budget\n" in out
+    assert main(["check", "5: [4,1] [3,2] [2,2,1]", "--max-nodes", "1", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["status"], payload["method"], payload["limit"]) == ("unknown", "sample", "budget")
+
+
 def test_check_json_reasons(capsys):
     assert main(["check", "12: [2,2,2,2,2,2] [2,2,2,2,2,2] [8,4]", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -93,6 +108,21 @@ def test_scan_deterministic_bytes(tmp_path):
             "scan", "--degree-max", "5", "--branch-points-max", "3", "--out", str(path),
         ]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_scan_bytes_are_pinned(tmp_path, capsys):
+    # the whole JSONL of d <= 8, n <= 4 (1,469 rows, 102 chain certificates):
+    # a change that means to alter a row re-pins this digest
+    out = tmp_path / "rows.jsonl"
+    assert main([
+        "scan", "--degree-max", "8", "--branch-points-max", "4", "--out", str(out),
+    ]) == 0
+    data = out.read_bytes()
+    assert data.count(b"\n") == 1469
+    assert data.count(b'"type":"chain"') == 102
+    assert hashlib.sha256(data).hexdigest() == (
+        "4595b8e6317c4a8d64fe23424c3b6df68f95a698a7eea40f601fae81a4bb132f"
+    )
 
 
 def test_family_lists_instances(capsys):

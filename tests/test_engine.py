@@ -320,6 +320,51 @@ def test_two_point_datum_above_the_degree_bound_is_unknown():
         assert verify(verdict, datum)
 
 
+def test_verify_rejects_unknown_claims_the_library_cannot_emit():
+    klein = D("4: [2,2] [2,2] [2,2]")
+    two_point = D("4: [4] [4]")
+    forged = [
+        # an unbalanced datum is exceptional rh, never unknown
+        (Verdict(UNKNOWN, "oracle", limit="budget"), D("5: [5]")),
+        (Verdict(UNKNOWN, "oracle", limit="degree-limit"), D("6: [2,2,2] [2,2,2] [4,1,1]")),
+        # no method but sample and oracle ends unknown on three partitions
+        (Verdict(UNKNOWN, "songxu", limit="degree-limit"), klein),
+        (Verdict(UNKNOWN, "reduction:thm1", limit="budget"), klein),
+        (Verdict(UNKNOWN, "base-case", limit="degree-limit"), klein),
+        # the draws run under the search's degree limit, so only run out of nodes
+        (Verdict(UNKNOWN, "sample", limit="degree-limit"), klein),
+        (Verdict(UNKNOWN, "oracle", limit=None), klein),
+        (Verdict(UNKNOWN, ["oracle"], limit="budget"), klein),
+        # a two-point datum is never searched, and base-case is unknown only
+        # above the two-point degree bound
+        (Verdict(UNKNOWN, "oracle", limit="budget"), two_point),
+        (Verdict(UNKNOWN, "sample", limit="budget"), two_point),
+        (Verdict(UNKNOWN, "base-case", limit="degree-limit"), two_point),
+    ]
+    for verdict, datum in forged:
+        assert verify(verdict, datum) is False, (verdict.method, verdict.limit, datum.render())
+    for method, limit in (("sample", "budget"), ("oracle", "budget"), ("oracle", "degree-limit")):
+        assert verify(Verdict(UNKNOWN, method, limit=limit), klein), (method, limit)
+    assert verify(Verdict(UNKNOWN, "oracle", limit="degree-limit"), two_point)
+
+
+def test_every_unknown_verdict_verifies():
+    # every engine and search verdict for d <= 7, n = 2..4 under four budgets,
+    # each limit reached, verifies
+    claims = set()
+    for budget in (SearchBudget(), SearchBudget(max_nodes=1), SearchBudget(max_nodes=300),
+                   SearchBudget(max_degree=6)):
+        engine = DecisionEngine(budget)
+        for n in (2, 3, 4):
+            for degree in range(2, 8):
+                for datum in enumerate_candidates(degree, n):
+                    for verdict in (engine.decide(datum), oracle_decide(datum, budget)):
+                        assert verify(verdict, datum), (datum.render(), verdict.method)
+                        if verdict.status == UNKNOWN:
+                            claims.add((verdict.method, verdict.limit))
+    assert claims == {("sample", "budget"), ("oracle", "budget"), ("oracle", "degree-limit")}
+
+
 def test_verify_rejects_strict_only_filter_verdict():
     # realizable, but the strict (unsound) cor1 length bound flags it
     klein = D("4: [2,2] [2,2] [2,2]")

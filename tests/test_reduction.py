@@ -283,10 +283,19 @@ def test_thm2_equivalence_sweep():
     assert checked > 10
 
 
+def test_chain_render():
+    # hops joined by arrows, each with its divisors and child degree, then the base
+    from hurwitz.engine import decide
+
+    chain = decide(D("8: [8] [4,2,2] [2,2,1,1,1,1]")).certificate
+    assert chain.render() == "thm1(s=2) d=4 -> thm1(s=2) d=2; base: witness (1 2) | (1 2)"
+    assert ReductionChain((), chain.base).render() == "base: witness (1 2) | (1 2)"
+
+
 def test_every_plan_step_replays():
-    # every step of every plan the engine tries, over all data with n = 3 and
-    # d <= 14, n = 4 and d <= 10, n = 5 and d <= 7, rebuilds its parent
-    from hurwitz.engine import _plan_children, _reduction_plans
+    # every step of every plan the engine tries (each row of each structure's
+    # ``reductions``), over all data with n = 3 and d <= 14, n = 4 and
+    # d <= 10, n = 5 and d <= 7, rebuilds its parent
     from hurwitz.partitions import enumerate_candidates
 
     counts = Counter()
@@ -294,11 +303,18 @@ def test_every_plan_step_replays():
     for n, degree_max in ((3, 14), (4, 10), (5, 7)):
         for degree in range(2, degree_max + 1):
             for datum in enumerate_candidates(degree, n):
-                for plan in _reduction_plans(detect_structures(datum)):
-                    for step, child in _plan_children(datum, plan, splits):
-                        assert replay(step, datum) == child, (datum.render(), step.theorem)
-                        assert rh_defect(child) == 0
-                        counts[step.theorem] += 1
+                for match in detect_structures(datum):
+                    for theorem, third, t, _ in match.reductions:
+                        if theorem == "thm1":
+                            children = children_thm1(datum, match, splits)
+                        elif theorem == "thm2":
+                            children = children_thm2(datum, match, third, t, splits)
+                        else:
+                            children = children_thm3(datum, match, third, splits)
+                        for step, child in children:
+                            assert replay(step, datum) == child, (datum.render(), theorem)
+                            assert rh_defect(child) == 0
+                            counts[step.theorem] += 1
     assert counts == {"thm1": 2673, "thm2": 45, "thm3": 1}
 
 
