@@ -120,9 +120,7 @@ class FilterReport:
 
     rule: str
     detail: str
-    pair: tuple[int, int]
-    divisor: int
-    subdegree: int
+    match: StructureMatch
     third_divisor: int | None = None
     index: int | None = None
 
@@ -130,10 +128,10 @@ class FilterReport:
         return {
             "rule": self.rule,
             "detail": self.detail,
-            "pair": list(self.pair),
-            "s": self.divisor,
+            "pair": list(self.match.pair),
+            "s": self.match.divisor,
             "t": self.third_divisor,
-            "d_prime": self.subdegree,
+            "d_prime": self.match.subdegree,
             "index": self.index,
         }
 
@@ -183,16 +181,13 @@ def prop1_filter(matches: tuple[StructureMatch, ...]) -> list[FilterReport]:
                 if (theorem, m, t) not in admitted:
                     reports.append(FilterReport(
                         rule, detail.format(g=g, m=m, dp=match.subdegree),
-                        match.pair, s, match.subdegree, third_divisor=g, index=m))
+                        match, third_divisor=g, index=m))
     return reports
 
 
 # each corollary's rule and the name of the other partitions' cap in d'
 _COROLLARY = {
     "thm1": ("cor1.parts", "d'"), "thm2": ("cor2.parts", "d'/t"), "thm3": ("cor3.parts", "d'/4")}
-
-# every rule a filter can report
-_FILTER_RULES = tuple(rule for rule, _ in (*_PROP1.values(), *_COROLLARY.values()))
 
 
 def corollary_filter(datum: CandidateDatum, matches: tuple[StructureMatch, ...]) -> list[FilterReport]:
@@ -218,8 +213,7 @@ def corollary_filter(datum: CandidateDatum, matches: tuple[StructureMatch, ...])
                     bound = f"{cap_name}={cap}" if role == ROLE_OTHER else str(cap)
                     reports.append(FilterReport(
                         rule, f"part {biggest} of partition {m} exceeds {bound}",
-                        match.pair, match.divisor, match.subdegree,
-                        third_divisor=third_divisor, index=m))
+                        match, third_divisor=third_divisor, index=m))
     return reports
 
 

@@ -30,13 +30,12 @@ structure detection reads, and the reduction splits it has built on
 from __future__ import annotations
 
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from . import oracle as oracle_mod
 from .criteria import (
-    _ARITY,
-    _FILTER_RULES,
     StructureMatch,
     corollary_filter,
     detect_structures,
@@ -65,12 +64,6 @@ from .verdicts import (
     DecisionStats,
     Verdict,
 )
-
-
-# one string per method name, shared by every verdict of that method, so a
-# caller that keeps many verdicts keeps each name once
-_FILTER_METHODS = {rule: f"filter:{rule}" for rule in _FILTER_RULES}
-_REDUCTION_METHODS = {theorem: f"reduction:{theorem}" for theorem in _ARITY}
 
 
 class DecisionEngine:
@@ -122,7 +115,9 @@ class DecisionEngine:
         matches = self._structures_of(datum)
         reports = tuple(prop1_filter(matches) + corollary_filter(datum, matches))
         if reports:
-            return Verdict(EXCEPTIONAL, _FILTER_METHODS[reports[0].rule], reasons=reports)
+            # method names are interned, so a caller that keeps many verdicts
+            # keeps each name once
+            return Verdict(EXCEPTIONAL, sys.intern(f"filter:{reports[0].rule}"), reasons=reports)
 
         shape = match_songxu_shape(datum)
         if shape is not None and not songxu_decide(*shape):
@@ -178,17 +173,18 @@ class DecisionEngine:
                 children = children_thm2(datum, match, third, t, self._splits)
             else:
                 children = children_thm3(datum, match, third, self._splits)
+            method = sys.intern(f"reduction:{theorem}")
             complete = True
             for step, child in children:
                 child_verdict = self._lookup(child)
                 if child_verdict.status == REALIZABLE:
                     chain = _extend_chain(step, child_verdict.certificate)
-                    return Verdict(REALIZABLE, _REDUCTION_METHODS[theorem], certificate=chain)
+                    return Verdict(REALIZABLE, method, certificate=chain)
                 if child_verdict.status == UNKNOWN:
                     complete = False
             if complete:
                 # the enumeration is exhaustive, so no realizable child exists
-                return Verdict(EXCEPTIONAL, _REDUCTION_METHODS[theorem])
+                return Verdict(EXCEPTIONAL, method)
         return None
 
 

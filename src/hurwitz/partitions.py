@@ -131,9 +131,11 @@ def rh_defect(datum: CandidateDatum) -> int:
     return (n - 2) * datum.degree + 2 - sum(len(p) for p in datum.partitions)
 
 
-# well-formed datum text: the degree, then the partitions' text; \s is
-# exactly the set of characters str.isspace() accepts
+# well-formed datum text: the degree, then the partitions' text, in the
+# space (\s) and digit ([0-9]) tokens that _scan_datum reads one at a time
 _DATUM_TEXT = re.compile(r"\s*([0-9]+)\s*:\s*((?:\[\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*\]\s*)*)")
+_SPACE = re.compile(r"\s*")
+_DIGITS = re.compile(r"[0-9]*")
 
 
 def parse_datum(text: str) -> CandidateDatum:
@@ -161,59 +163,42 @@ def parse_datum(text: str) -> CandidateDatum:
 
 
 def _scan_datum(text: str) -> CandidateDatum:
-    """:func:`parse_datum` one character at a time, raising
+    """:func:`parse_datum` one token at a time, raising
     :class:`DatumParseError` at the offset of the first fault."""
-    i = 0
-    n = len(text)
 
-    def skip_ws() -> None:
-        nonlocal i
-        while i < n and text[i].isspace():
-            i += 1
+    def skip(i: int) -> int:
+        return _SPACE.match(text, i).end()
 
-    def read_int(what: str) -> int:
-        nonlocal i
-        start = i
-        while i < n and "0" <= text[i] <= "9":
-            i += 1
-        if i == start:
-            raise DatumParseError(f"expected {what}", start)
+    def read_int(i: int, what: str) -> tuple[int, int]:
+        # the positive int at offset i, and the offset past it and any space
+        end = _DIGITS.match(text, i).end()
+        if end == i:
+            raise DatumParseError(f"expected {what}", i)
         try:
-            value = int(text[start:i])
+            value = int(text[i:end])
         except ValueError:  # more digits than the interpreter converts
-            raise DatumParseError(f"{what} has too many digits", start) from None
+            raise DatumParseError(f"{what} has too many digits", i) from None
         if value == 0:
-            raise DatumParseError(f"{what} must be positive, got 0", start)
-        return value
+            raise DatumParseError(f"{what} must be positive, got 0", i)
+        return value, skip(end)
 
-    skip_ws()
-    degree = read_int("a degree")
-    skip_ws()
-    if i >= n or text[i] != ":":
+    degree, i = read_int(skip(0), "a degree")
+    if not text.startswith(":", i):
         raise DatumParseError("expected ':' after the degree", i)
-    i += 1
-    skip_ws()
+    i = skip(i + 1)
 
     collected: list[tuple[int, list[int]]] = []
-    while i < n:
+    while i < len(text):
         if text[i] != "[":
             raise DatumParseError("expected '['", i)
-        part_pos = i
-        i += 1
-        parts = []
-        skip_ws()
-        parts.append(read_int("a part"))
-        skip_ws()
-        while i < n and text[i] == ",":
-            i += 1
-            skip_ws()
-            parts.append(read_int("a part"))
-            skip_ws()
-        if i >= n or text[i] != "]":
+        pos, parts = i, []
+        while not parts or text.startswith(",", i):  # one part, then one per ','
+            part, i = read_int(skip(i + 1), "a part")
+            parts.append(part)
+        if not text.startswith("]", i):
             raise DatumParseError("expected ',' or ']'", i)
-        i += 1
-        collected.append((part_pos, parts))
-        skip_ws()
+        collected.append((pos, parts))
+        i = skip(i + 1)
 
     for pos, parts in collected:
         total = sum(parts)

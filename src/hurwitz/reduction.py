@@ -158,8 +158,7 @@ def _children(
     The roles are pair i, pair j, the third (if any), then the other
     partitions in ``match.other_gcds`` order; each source is divided by its
     role's scale and split into its piece count.  Empty when some role has
-    no split.  A one-piece role (thm1's pair) is its own only split, so it
-    skips :func:`decompose`.
+    no split.
     ``splits`` maps (source, count) to that source's splits: a miss calls
     :func:`decompose` and stores its answer, so one dict shared by many calls
     builds each split once.  Without one, the call gets a fresh dict.
@@ -179,12 +178,9 @@ def _children(
     for m, role in slots:
         scale, count = shape[role]
         source = ps[m].divided(scale) if scale > 1 else ps[m]
-        if count == 1:
-            options = [(source,)]
-        else:
-            options = splits.get((source, count))
-            if options is None:
-                options = splits[source, count] = decompose(source, count)
+        options = splits.get((source, count))
+        if options is None:
+            options = splits[source, count] = decompose(source, count)
         if not options:
             return
         option_lists.append(options)

@@ -1,9 +1,12 @@
+import pytest
+
+import hurwitz.corpus as corpus_mod
 from hurwitz.corpus import load_corpus, run_corpus
 from hurwitz.engine import scan
 from hurwitz.partitions import parse_datum, rh_defect
 
 
-def test_corpus_loads_and_balances():
+def test_corpus_loads_and_balances(tmp_path, monkeypatch):
     entries = load_corpus()
     assert len(entries) >= 10
     for entry in entries:
@@ -11,6 +14,16 @@ def test_corpus_loads_and_balances():
         assert rh_defect(datum) == 0
         assert entry.expected in ("realizable", "exceptional")
         assert entry.source
+    # a corpus file with a bad entry is rejected as it loads
+    monkeypatch.setattr(corpus_mod.resources, "files", lambda package: tmp_path)
+    for line, message in [
+        ('{"datum": "5: [5]", "expected": "exceptional"}', r"^corpus entry is not balanced: 5: \[5\]$"),
+        ('{"datum": "4: [3,1] [2,2] [2,2]", "expected": "unknown"}',
+         r"^corpus entry has an unknown expectation: 'unknown'$"),
+    ]:
+        (tmp_path / "corpus.jsonl").write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_corpus()
 
 
 def test_corpus_all_match():

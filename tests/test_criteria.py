@@ -51,6 +51,8 @@ def test_detect_structures_single_pair():
     match = matches[0]
     assert match.pair == (0, 1) and match.divisor == 2 and match.subdegree == 2
     assert match.other_gcds == ((2, 1),)
+    with pytest.raises(ValueError, match=r"^datum must be balanced before structure detection$"):
+        detect_structures(D("5: [5]"))
 
 
 def test_detect_structures_all_pairs():
@@ -169,12 +171,14 @@ def test_songxu_gcd_failure():
 
 
 def test_songxu_preconditions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k must be at least 3$"):
         songxu_decide(2, 1, 1, P(2, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need 1 <= x, y <= k$"):
+        songxu_decide(3, 0, 1, P(3, 3))
+    with pytest.raises(ValueError, match=r"^first partition must have 2 parts, has 3$"):
         songxu_decide(3, 1, 1, P(3, 2, 1))  # wrong part count
-    with pytest.raises(ValueError):
-        songxu_decide(3, 2, 1, P(3, 2))  # wrong total
+    with pytest.raises(ValueError, match=r"^first partition must sum to 6, sums to 5$"):
+        songxu_decide(3, 1, 1, P(3, 2))  # wrong total
 
 
 def test_half_split_subset_sum_matches_decompose():
@@ -205,6 +209,8 @@ def test_family_instances_small():
     found = list(family_instances(2, 3, 2))
     assert [d.render() for d, _ in found] == ["6: [2,2,2] [2,2,2] [4,1,1] [2,1,1,1,1]"]
     assert all(rule == "cor1.parts" for _, rule in found)
+    with pytest.raises(ValueError, match=r"^need s >= 2, k >= 2, t >= 1$"):
+        list(family_instances(1, 2, 1))
 
 
 def test_family_instances_empty_when_no_big_part_fits():

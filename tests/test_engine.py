@@ -64,6 +64,17 @@ def test_pipeline_unknown_beyond_degree_limit():
     assert verdict.limit == "degree-limit"
 
 
+def test_unknown_child_keeps_its_plan_from_proving_exceptional():
+    # under max_degree=3 the one thm1 child, 4: [2,2] [3,1] [3,1], is unknown,
+    # so its plan's enumeration proves nothing and the datum falls through to
+    # the search; with the default budget that child is realizable
+    datum = D("8: [4,4] [2,2,2,2] [3,3,1,1]")
+    verdict = DecisionEngine(SearchBudget(max_degree=3)).decide(datum)
+    assert (verdict.status, verdict.method, verdict.limit) == (UNKNOWN, "oracle", "degree-limit")
+    verdict = decide(datum)
+    assert (verdict.status, verdict.method) == (REALIZABLE, "reduction:thm1")
+
+
 def test_base_cases():
     one = decide(CandidateDatum.make(1, []))
     assert (one.status, one.certificate) == (REALIZABLE, ConstellationWitness(1, ()))

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 import sys
 
@@ -133,6 +135,24 @@ def test_parse_pins():
             parse_datum("4: [" + "1" * 4301 + "]")
 
 
+def test_parse_outcomes_are_pinned():
+    # every string of length <= 5 over eight symbols (37,449 strings), each
+    # with its rendered datum or its error and offset; an intended change to
+    # parsing re-pins the digest
+    lines = []
+    for length in range(6):
+        for chars in itertools.product(["1", "0", ":", "[", "]", ",", " ", "\u0663"], repeat=length):
+            text = "".join(chars)
+            try:
+                outcome = parse_datum(text).render()
+            except DatumParseError as error:
+                outcome = f"{error} @{error.position}"
+            lines.append(f"{text!r}\t{outcome}\n")
+    assert len(lines) == 37449
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "0f671f26aab8513c7d0e28f8737c657df8ebbfd3509325ce4d71163c329fb7d1"
+
+
 def test_render_roundtrip_idempotent():
     datum = parse_datum("4: [1,3] [2,2] [1,1,1,1] [2,2]")
     assert parse_datum(datum.render()) == datum
@@ -174,6 +194,12 @@ def test_partition_invariants():
         Partition([2, 1])  # a list of parts cannot be hashed
     with pytest.raises(ValueError):
         CandidateDatum.make(8, [[5, 3], [2, 2, 2, 2], [3, 2, 2, True]])
+    with pytest.raises(ValueError, match=r"^trivial partition \[1,1\] must be dropped$"):
+        CandidateDatum(2, (P(1, 1),))
+    with pytest.raises(ValueError, match=r"^partition \[3,2\] sums to 5, expected degree 4$"):
+        CandidateDatum(4, (P(3, 2),))
+    with pytest.raises(ValueError, match=r"^partitions out of canonical order"):
+        CandidateDatum(4, (P(3, 1), P(2, 2)))
 
 
 def test_rh_defect_examples():
@@ -260,6 +286,10 @@ def test_enumerate_candidates_d4_n3():
 
 def test_enumerate_candidates_d2_n2():
     assert list(enumerate_candidates(2, 2)) == [CandidateDatum.make(2, [[2], [2]])]
+    with pytest.raises(ValueError, match=r"^degree must be at least 2$"):
+        next(enumerate_candidates(1, 3))
+    with pytest.raises(ValueError, match=r"^need at least one branch point$"):
+        next(enumerate_candidates(4, 0))
 
 
 def test_enumerate_candidates_d3_n3():
