@@ -19,7 +19,9 @@ The engine decides a datum by the cheapest sufficient means, in order:
      a witness among them decides realizable (``sample``); a miss proves
      nothing, and the exhaustive search settles whatever remains within
      budget (``oracle``), else the verdict is unknown with a stated limit.
-     Each draw is charged as one node of the budget.
+     Each draw after the first relabels one drawn factor, in turn, so draws
+     n - 2 apart are independent.  Each draw is charged as one node of the
+     budget.
 
 Every engine memoizes its verdicts on the normalized datum, the structures
 it has detected on the (degree, partition gcds) signature, which is all

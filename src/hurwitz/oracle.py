@@ -61,9 +61,12 @@ budget aborts the search with an ``unknown`` verdict, never a wrong one.
 ``sample``): at most ``SAMPLE_DRAWS`` random tuples, seeded from the
 datum's text, with the smallest class's factor pinned, the others but the
 largest class's drawn uniformly from their classes, and that one forced.
-Its witnesses pass :func:`check_witness` like the search's; a miss proves
-nothing.  :func:`decide` never samples: it is the search alone, so a scan
-that runs both compares two independent methods on realizable data.
+The first draw relabels every drawn factor and each later draw only one of
+them, in turn, so each tuple is still uniform on the drawn classes and
+draws n - 2 apart are independent.  Its witnesses pass
+:func:`check_witness` like the search's; a miss proves nothing.
+:func:`decide` never samples: it is the search alone, so a scan that runs
+both compares two independent methods on realizable data.
 """
 
 from __future__ import annotations
@@ -97,8 +100,9 @@ from .verdicts import (
 # the most random tuples :func:`sample` draws for one datum before the search
 # takes over.  Of the 2,078 3-point data with 8 <= d <= 10 and the 714 4-point
 # data with d = 8 that reach the search without it, 100, 200 and 400 draws
-# leave 61, 30 and 17, and 13, 6 and 2; in bench/run.py 400 draws decide the
-# 4-point data 1-2% faster than 200 but the 3-point data 4% slower
+# leave 61, 30 and 17, and 12, 5 and 3; in bench/run.py 400 draws decided the
+# 4-point data 1-2% faster than 200 but the 3-point data 4% slower, when
+# every draw relabelled every drawn factor
 SAMPLE_DRAWS = 200
 
 
@@ -486,10 +490,14 @@ def sample(datum: CandidateDatum, draws: int) -> tuple[ConstellationWitness | No
     The smallest class's factor is pinned and the largest class's is forced,
     as the inverse of the others' product in the search's cyclic order, so
     a draw hits with the transitive count over the product of the drawn
-    classes' sizes.  Each other factor is a uniform element of its class,
-    the canonical representative with its points relabelled at random.  The
-    generator is seeded from the datum's text, so a datum always gets the
-    same witness.  A miss proves nothing.
+    classes' sizes.  Each of the k = n - 2 other factors is a uniform element
+    of its class, the canonical representative with its points relabelled at
+    random.  The first draw relabels all k and draw t only the (t mod k)-th:
+    each tuple stays uniform on the product of the drawn classes, so each
+    draw hits with the same chance, and draws k apart share no relabelling,
+    so they are independent.  A relabelling takes d random numbers and one
+    sort.  The generator is seeded from the datum's text, so a datum
+    always gets the same witness.  A miss proves nothing.
     """
     d = datum.degree
     n = len(datum.partitions)
@@ -505,12 +513,12 @@ def sample(datum: CandidateDatum, draws: int) -> tuple[ConstellationWitness | No
     points = range(d)
     r = random.Random(datum.render()).random
     for made in range(1, draws + 1):
-        for i, canon in drawn:
+        for i, canon in drawn if made == 1 else (drawn[made % len(drawn)],):
             # conjugate by a random relabelling g: g(x) -> g(canon(x))
-            keys = [r() for _ in points]
-            g = sorted(points, key=keys.__getitem__)
-            g_inv = sorted(points, key=g.__getitem__)
-            images[i] = [g[canon[y]] for y in g_inv]
+            g = sorted(points, key=lambda _: r())
+            img = images[i] = [0] * d
+            for x in points:
+                img[g[x]] = g[canon[x]]
         # the forced factor's type is that of the product it inverts, read
         # one cycle at a time and given up at the first one it has no part for
         prod = images[around[0]]

@@ -121,7 +121,7 @@ def test_scan_bytes_are_pinned(tmp_path, capsys):
     assert data.count(b"\n") == 1469
     assert data.count(b'"type":"chain"') == 102
     assert hashlib.sha256(data).hexdigest() == (
-        "4595b8e6317c4a8d64fe23424c3b6df68f95a698a7eea40f601fae81a4bb132f"
+        "27491812b037e726a05e007468f85f52e9cf6f0d018c0ed3f9e8f63ca1bdf8f4"
     )
 
 

@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -582,6 +585,69 @@ def test_draws_are_charged_to_the_node_budget():
     verdict = DecisionEngine(SearchBudget(max_nodes=draws + 2_451)).decide(datum)
     assert (verdict.status, verdict.method) == (REALIZABLE, "oracle")
     assert verdict.stats.nodes == draws + 2_451
+
+
+def test_a_draw_after_the_first_relabels_one_factor(monkeypatch):
+    # the first draw relabels each of the k = n - 2 drawn factors and every
+    # later draw one of them, at d random numbers a relabelling: N draws take
+    # d * (N + k - 1), and the engine charges each as one node
+    calls = 0
+
+    class Counting(random.Random):
+        def random(self):
+            nonlocal calls
+            calls += 1
+            return super().random()
+
+    monkeypatch.setattr(oracle_mod, "random", SimpleNamespace(Random=Counting))
+    exceptional = parse_datum("8: [2,2,2,2] [2,2,2,2] [5,1,1,1] [3,1,1,1,1,1]")
+    assert oracle_decide(exceptional).status == EXCEPTIONAL
+    for draws in (1, 2, 3, oracle_mod.SAMPLE_DRAWS):
+        calls = 0
+        assert oracle_mod.sample(exceptional, draws) == (None, draws)
+        assert calls == 8 * (draws + 1)
+    for text, hit in (("8: [4,4] [3,3,1,1] [4,1,1,1,1] [2,1,1,1,1,1,1]", 113),
+                      ("7: [4,3] [3,2,1,1] [3,1,1,1,1] [2,1,1,1,1,1] [2,1,1,1,1,1]", 33)):
+        datum = parse_datum(text)
+        k = len(datum.partitions) - 2
+        for max_nodes, status in ((hit - 1, UNKNOWN), (hit, REALIZABLE)):
+            calls = 0
+            verdict = DecisionEngine(SearchBudget(max_nodes=max_nodes)).decide(datum)
+            assert (verdict.status, verdict.method, verdict.stats.nodes) == (status, "sample", max_nodes)
+            assert calls == datum.degree * (max_nodes + k - 1)
+
+
+def test_plans_of_one_child_degree_run_in_detection_order():
+    # the three pairs of Klein's datum each admit a thm2 row of child degree
+    # 1; the first detected, pair (0, 1) with partition 2 as the third, decides
+    datum = parse_datum("4: [2,2] [2,2] [2,2]")
+    rows = [row for match in detect_structures(datum) for row in match.reductions]
+    assert [row for row in rows if row[3] == 1] == [
+        ("thm2", 2, 2, 1), ("thm2", 1, 2, 1), ("thm2", 0, 2, 1)]
+    verdict = decide(datum)
+    assert verdict.method == "reduction:thm2"
+    assert [record.role for record in verdict.certificate.steps[0].records] == [
+        "pair", "pair", "third"]
+    # the plan sort's theorem key breaks no tie: on balanced data the rows of
+    # one child degree share their theorem (a thm1 pair at s = 2t and a thm2
+    # triple at t, a thm1 pair at s = 12 and a thm3 triple, or thm2 at t = 6
+    # and thm3, would spend more than 2d - 2 of the balance)
+    for degree in range(4, 13):
+        for n in (3, 4):
+            for datum in enumerate_candidates(degree, n):
+                theorems = {}
+                for match in detect_structures(datum):
+                    for theorem, _, _, u in match.reductions:
+                        assert theorems.setdefault(u, theorem) == theorem, datum.render()
+
+
+def test_scan_statuses_are_pinned():
+    # the (input, status) pairs of d <= 8, n <= 4: how a witness is found may
+    # move a row's method, certificate and stats, never its status
+    text = "".join(f"{row['input']} {row['status']}\n" for row in scan(8, 4).rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "91949013869a2d7a702fbed28f452d317fd2cf0a648e25085ea3b9ccf57c939c"
+    )
 
 
 def test_scan_small_range():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from types import SimpleNamespace
@@ -410,7 +411,20 @@ def test_sampler_hits_only_realizable_data_with_valid_witnesses():
                     hits += 1
                     assert 1 <= draws <= oracle_mod.SAMPLE_DRAWS
                     assert check_witness(datum, witness), datum.render()
-    assert (exceptional, hits, misses) == (68, 3376, 27)
+    assert (exceptional, hits, misses) == (68, 3379, 24)
+
+
+def test_three_point_draws_are_pinned():
+    # one factor is drawn, so every draw relabels it: the draws, and the
+    # witness each datum gets, are those of a sampler that relabels every
+    # drawn factor in every draw
+    digest = hashlib.sha256()
+    for degree in range(3, 10):
+        for datum in enumerate_candidates(degree, 3):
+            witness, draws = oracle_mod.sample(datum, oracle_mod.SAMPLE_DRAWS)
+            perms = None if witness is None else witness.perms
+            digest.update(f"{datum.render()} {draws} {perms}\n".encode())
+    assert digest.hexdigest() == "09b15f7229dfa105413312ff296d7e683789d981fcac961c47e0242d9c22a768"
 
 
 def test_sampled_witness_literal():
