@@ -19,9 +19,9 @@ import json
 import os
 import sys
 
-from .corpus import run_corpus
+from .corpus import load_corpus
 from .criteria import family_instances
-from .engine import DecisionEngine, scan
+from .engine import DecisionEngine, disagreements, scan, summary_lines
 from .oracle import ConstellationWitness, SearchBudget
 from .partitions import parse_datum
 from .reduction import ReductionChain
@@ -97,13 +97,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    report = scan(args.degree_max, args.branch_points_max, _budget(args), jobs=args.jobs)
+    rows = scan(args.degree_max, args.branch_points_max, _budget(args), jobs=args.jobs)
     with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext() as out:
-        for row in report.rows:
+        for row in rows:
             print(_dump(row), file=out)  # None prints to standard output
-    for line in report.summary_lines():
+    for line in summary_lines(rows):
         print(line, file=sys.stdout if args.out else sys.stderr)
-    return 3 if report.disagreements else 0
+    return 3 if disagreements(rows) else 0
 
 
 def cmd_family(args) -> int:
@@ -129,28 +129,26 @@ def cmd_family(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    results = run_corpus()
+    engine = DecisionEngine()
+    entries = load_corpus()
     failures = 0
-    for result in results:
-        mark = "ok  " if result.ok else "FAIL"
-        line = (
-            f"{mark} expected={result.entry.expected:<12} got={result.verdict.status:<12}"
-            f" method={result.verdict.method:<20} {result.entry.datum_text}"
-        )
+    for entry in entries:
+        verdict = engine.decide(entry.datum_text)
+        ok = verdict.status == entry.expected
         if args.format == "json":
             print(_dump({
-                "datum": result.entry.datum_text,
-                "expected": result.entry.expected,
-                "status": result.verdict.status,
-                "method": result.verdict.method,
-                "ok": result.ok,
-                "source": result.entry.source,
+                "datum": entry.datum_text,
+                "expected": entry.expected,
+                "status": verdict.status,
+                "method": verdict.method,
+                "ok": ok,
+                "source": entry.source,
             }))
         else:
-            print(line)
-        if not result.ok:
-            failures += 1
-    print(f"{len(results) - failures}/{len(results)} corpus entries matched",
+            print(f"{'ok  ' if ok else 'FAIL'} expected={entry.expected:<12}"
+                  f" got={verdict.status:<12} method={verdict.method:<20} {entry.datum_text}")
+        failures += not ok
+    print(f"{len(entries) - failures}/{len(entries)} corpus entries matched",
           file=sys.stderr if failures else sys.stdout)
     return 3 if failures else 0
 

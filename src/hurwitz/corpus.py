@@ -6,9 +6,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .engine import DecisionEngine
 from .partitions import parse_datum, rh_defect
-from .verdicts import Verdict
 
 
 @dataclass(frozen=True)
@@ -16,13 +14,6 @@ class CorpusEntry:
     datum_text: str
     expected: str
     source: str
-
-
-@dataclass
-class CorpusResult:
-    entry: CorpusEntry
-    verdict: Verdict
-    ok: bool
 
 
 def load_corpus() -> tuple[CorpusEntry, ...]:
@@ -46,13 +37,3 @@ def load_corpus() -> tuple[CorpusEntry, ...]:
             raise ValueError(f"corpus entry has an unknown expectation: {entry.expected!r}")
         entries.append(entry)
     return tuple(entries)
-
-
-def run_corpus() -> list[CorpusResult]:
-    """Decide every corpus entry and compare with its recorded verdict."""
-    engine = DecisionEngine()
-    results = []
-    for entry in load_corpus():
-        verdict = engine.decide(entry.datum_text)
-        results.append(CorpusResult(entry, verdict, verdict.status == entry.expected))
-    return results

@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 from . import oracle as oracle_mod
 from .criteria import (
@@ -49,7 +49,6 @@ from .oracle import ConstellationWitness, SearchBudget, check_witness
 from .partitions import CandidateDatum, enumerate_candidates, parse_datum, rh_defect
 from .reduction import (
     ReductionChain,
-    ReductionStep,
     Splits,
     StepReplayError,
     children_thm1,
@@ -163,11 +162,12 @@ class DecisionEngine:
         """Realizable/exceptional via some structure, or None when undecided.
 
         Each admitted row (theorem, third, t, u) of a structure is a plan; plans
-        run by child degree u, then table order, then detection order (pairs,
-        divisors ascending, thirds in ``other_gcds`` order; one t per third and u).
+        run by child degree u, then detection order (pairs, divisors ascending,
+        thirds in ``other_gcds`` order; one t per third and u).  Balanced data
+        never admit rows of one u under two theorems.
         """
         plans = sorted(((row, match) for match in matches for row in match.reductions),
-                       key=lambda plan: (plan[0][3], plan[0][0]))
+                       key=lambda plan: plan[0][3])
         for (theorem, third, t, _), match in plans:
             if theorem == "thm1":
                 children = children_thm1(datum, match, self._splits)
@@ -180,7 +180,12 @@ class DecisionEngine:
             for step, child in children:
                 child_verdict = self._lookup(child)
                 if child_verdict.status == REALIZABLE:
-                    chain = _extend_chain(step, child_verdict.certificate)
+                    # a realizable child carries a witness or a chain down to one
+                    cert = child_verdict.certificate
+                    if isinstance(cert, ReductionChain):
+                        chain = ReductionChain((step,) + cert.steps, cert.base)
+                    else:
+                        chain = ReductionChain((step,), cert)
                     return Verdict(REALIZABLE, method, certificate=chain)
                 if child_verdict.status == UNKNOWN:
                     complete = False
@@ -188,14 +193,6 @@ class DecisionEngine:
                 # the enumeration is exhaustive, so no realizable child exists
                 return Verdict(EXCEPTIONAL, method)
         return None
-
-
-def _extend_chain(step: ReductionStep, certificate) -> ReductionChain:
-    if isinstance(certificate, ReductionChain):
-        return ReductionChain((step,) + certificate.steps, certificate.base)
-    if isinstance(certificate, ConstellationWitness):
-        return ReductionChain((step,), certificate)
-    raise TypeError(f"cannot extend a chain with {type(certificate).__name__}")
 
 
 def decide(datum: CandidateDatum | str, budget: SearchBudget | None = None) -> Verdict:
@@ -277,38 +274,31 @@ def _verify_chain(datum: CandidateDatum, chain: ReductionChain) -> bool:
 # -- scanning --
 
 
-@dataclass
-class ScanReport:
-    """Dual adjudication of every candidate in a range, one row each; the
-    pipeline/search disagreements and per-(d, n) counts are read from them."""
+def disagreements(rows: list[dict]) -> list[str]:
+    """The inputs of scan rows whose pipeline and search statuses conflict."""
+    return [row["input"] for row in rows
+            if {row["status"], row["oracle_status"]} == {REALIZABLE, EXCEPTIONAL}]
 
-    rows: list[dict] = field(default_factory=list)
 
-    @property
-    def disagreements(self) -> list[str]:
-        """The inputs whose pipeline and search statuses conflict."""
-        return [row["input"] for row in self.rows
-                if {row["status"], row["oracle_status"]} == {REALIZABLE, EXCEPTIONAL}]
-
-    def summary_lines(self) -> list[str]:
-        """One line per (d, n) cell, counting a pipeline ``unknown`` by the
-        search's status, then the disagreements."""
-        counts: dict[tuple[int, int], tuple[Counter, Counter]] = {}
-        for row in self.rows:
-            key = (row["degree"], len(row["partitions"]))
-            cell, methods = counts.setdefault(key, (Counter(), Counter()))
-            cell[row["oracle_status"] if row["status"] == UNKNOWN else row["status"]] += 1
-            methods[row["method"]] += 1
-        lines = [
-            f"d={d} n={n}: total={cell.total()} realizable={cell[REALIZABLE]}"
-            f" exceptional={cell[EXCEPTIONAL]} unknown={cell[UNKNOWN]}"
-            " by method: " + " ".join(f"{m}={methods[m]}" for m in sorted(methods))
-            for (d, n), (cell, methods) in sorted(counts.items())
-        ]
-        disagreements = self.disagreements
-        lines.append(f"disagreements: {len(disagreements)}")
-        lines += [f"  DISAGREE {text}" for text in disagreements]
-        return lines
+def summary_lines(rows: list[dict]) -> list[str]:
+    """One line per (d, n) cell of scan rows, counting a pipeline ``unknown``
+    by the search's status, then the disagreements."""
+    counts: dict[tuple[int, int], tuple[Counter, Counter]] = {}
+    for row in rows:
+        key = (row["degree"], len(row["partitions"]))
+        cell, methods = counts.setdefault(key, (Counter(), Counter()))
+        cell[row["oracle_status"] if row["status"] == UNKNOWN else row["status"]] += 1
+        methods[row["method"]] += 1
+    lines = [
+        f"d={d} n={n}: total={cell.total()} realizable={cell[REALIZABLE]}"
+        f" exceptional={cell[EXCEPTIONAL]} unknown={cell[UNKNOWN]}"
+        " by method: " + " ".join(f"{m}={methods[m]}" for m in sorted(methods))
+        for (d, n), (cell, methods) in sorted(counts.items())
+    ]
+    conflicts = disagreements(rows)
+    lines.append(f"disagreements: {len(conflicts)}")
+    lines += [f"  DISAGREE {text}" for text in conflicts]
+    return lines
 
 
 def _scan_one(task: tuple[str, SearchBudget]) -> dict:
@@ -330,15 +320,16 @@ def scan(
     branch_points_max: int,
     budget: SearchBudget | None = None,
     jobs: int = 1,
-) -> ScanReport:
+) -> list[dict]:
     """Adjudicate every candidate with d <= degree_max and n <= branch_points_max.
 
     Each candidate is decided twice, by the full pipeline and by the search
-    alone, and the report holds one row per candidate, in enumeration order;
-    its summary reads the conflicts (there must be none) and per-(d, n)
-    counts from them.  Up to ``jobs`` worker processes share the
-    candidates, never more than there are candidates or CPUs, and a scan that
-    would get one runs in this process; ``jobs`` must be at least 1.
+    alone; the scan returns one row per candidate, in enumeration order, and
+    :func:`disagreements` and :func:`summary_lines` read the conflicts (there
+    must be none) and per-(d, n) counts from the rows.  Up to ``jobs`` worker
+    processes share the candidates, never more than there are candidates or
+    CPUs, and a scan that would get one runs in this process; ``jobs`` must
+    be at least 1.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -354,7 +345,5 @@ def scan(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_one, tasks, chunksize=8))
-    else:
-        results = [_scan_one(task) for task in tasks]
-    return ScanReport(results)
+            return list(pool.map(_scan_one, tasks, chunksize=8))
+    return [_scan_one(task) for task in tasks]

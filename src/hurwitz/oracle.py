@@ -100,9 +100,10 @@ from .verdicts import (
 # the most random tuples :func:`sample` draws for one datum before the search
 # takes over.  Of the 2,078 3-point data with 8 <= d <= 10 and the 714 4-point
 # data with d = 8 that reach the search without it, 100, 200 and 400 draws
-# leave 61, 30 and 17, and 12, 5 and 3; in bench/run.py 400 draws decided the
-# 4-point data 1-2% faster than 200 but the 3-point data 4% slower, when
-# every draw relabelled every drawn factor
+# leave 61, 30 and 17, and 12, 5 and 3.  In four alternating 20 s pairs of
+# bench/run.py (2 vCPU, CPython 3.11), 400 draws moved decide_tail_ms by +6%
+# on the 3-point data and -5% on the 4-point data, no more than the 5% that
+# crosscheck_per_s, which the draws do not touch, moved between the same runs
 SAMPLE_DRAWS = 200
 
 

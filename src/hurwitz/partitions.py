@@ -225,34 +225,35 @@ def decompose(partition: Partition, count: int) -> tuple[tuple[Partition, ...], 
     total = partition.total // count
 
     parts = partition.parts
-    free = [True] * len(parts)
     found: list[tuple[Partition, ...]] = []
-
-    def fill(done: tuple, group: tuple, start: int, room: int, bound: tuple | None) -> None:
-        # extend ``group`` with free parts from index ``start`` on; ``bound`` is
-        # the group before it while ``group`` is a prefix of that group
+    # a depth-first walk of (groups done, group, next index, room, bound, used
+    # parts as bits); ``bound`` is the group before while ``group`` is a
+    # prefix of it.  Branches are pushed in reverse, so they pop in order.
+    stack: list[tuple] = [((), (), 0, total, None, 0)]
+    while stack:
+        done, group, start, room, bound, used = stack.pop()
         if room == 0:
             done += (Partition(group),)
             if len(done) == count:
                 found.append(tuple(sorted(done, key=lambda p: p.sort_key)))
-            else:
-                fill(done, (), free.index(True), total, done[-1].parts)
-            return
+            else:  # the next group starts at the first free part
+                first = (~used & (used + 1)).bit_length() - 1
+                stack.append((done, (), first, total, done[-1].parts, used))
+            continue
+        branches = []
         last = 0
+        top = room if bound is None else min(room, bound[len(group)])
         for k in range(start, len(parts)):
             p = parts[k]
-            if free[k] and p <= room and p != last and (bound is None or p <= bound[len(group)]):
+            if p <= top and p != last and not used >> k & 1:
                 last = p  # an equal part here would repeat this branch
-                free[k] = False
-                fill(done, group + (p,), k + 1, room - p,
-                     bound if bound and p == bound[len(group)] else None)
-                free[k] = True
+                branches.append((done, group + (p,), k + 1, room - p,
+                                 bound if bound and p == bound[len(group)] else None,
+                                 used | 1 << k))
             if not group:
                 break  # a group starts with the largest part left
-
-    fill((), (), 0, total, None)
+        stack += reversed(branches)
     return tuple(found)
-
 
 def partitions_of(total: int) -> Iterator[tuple[int, ...]]:
     """All partitions of ``total`` as non-increasing tuples, in descending-lex order."""

@@ -260,10 +260,10 @@ def test_criterion_scan_determinism(tmp_path):
 def test_prime_degree_report():
     """Exploratory, reported not asserted: exceptional counts at prime degree."""
     for degree in (5, 7):
-        report = scan(degree, 3, BUDGET)
+        rows = scan(degree, 3, BUDGET)
         # a pipeline unknown counts by the search's status, as in the summary
         cell = Counter(row["oracle_status"] if row["status"] == UNKNOWN else row["status"]
-                       for row in report.rows
+                       for row in rows
                        if row["degree"] == degree and len(row["partitions"]) == 3)
         print(
             f"REPORT prime-degree d={degree} n=3: realizable={cell[REALIZABLE]}"

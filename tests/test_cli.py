@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import hurwitz.corpus as corpus_mod
 from hurwitz import cli
 from hurwitz.cli import main
 from hurwitz.corpus import load_corpus
@@ -159,6 +160,34 @@ def test_corpus_json_lines(capsys):
         row = json.loads(line)
         assert set(row) == {"datum", "expected", "status", "method", "ok", "source"}, line
         assert row["ok"] is True, line
+
+
+def test_corpus_output_is_pinned(capsys):
+    # the text and JSON lines of the embedded corpus, byte for byte
+    for argv, digest in [
+        (["corpus"], "65917c93f85d88c474d8cb0310a184cbb35ea2cd7fe4035899dbd6d132d0396e"),
+        (["corpus", "--format", "json"],
+         "7134d42c00a4948ea635abb86adf46df7a7fc8fd21520a2e400967b441572891"),
+    ]:
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_corpus_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # a corpus whose one entry expects the wrong status
+    monkeypatch.setattr(corpus_mod.resources, "files", lambda package: tmp_path)
+    (tmp_path / "corpus.jsonl").write_text(
+        '{"datum": "4: [3,1] [2,2] [2,2]", "expected": "realizable", "source": "wrong"}\n',
+        encoding="utf-8")
+    assert main(["corpus"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FAIL expected=realizable   got=exceptional ")
+    assert captured.out.endswith(" 4: [3,1] [2,2] [2,2]\n")
+    assert captured.err.endswith("0/1 corpus entries matched\n")
+    assert main(["corpus", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["ok"] is False
+    assert captured.err.endswith("0/1 corpus entries matched\n")
 
 
 def test_scan_unopenable_out_is_a_usage_error_before_scanning(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,8 @@
 import pytest
 
 import hurwitz.corpus as corpus_mod
-from hurwitz.corpus import load_corpus, run_corpus
-from hurwitz.engine import scan
+from hurwitz.corpus import load_corpus
+from hurwitz.engine import DecisionEngine, disagreements, scan
 from hurwitz.partitions import parse_datum, rh_defect
 
 
@@ -27,8 +27,9 @@ def test_corpus_loads_and_balances(tmp_path, monkeypatch):
 
 
 def test_corpus_all_match():
-    results = run_corpus()
-    failures = [r.entry.datum_text for r in results if not r.ok]
+    engine = DecisionEngine()
+    failures = [entry.datum_text for entry in load_corpus()
+                if engine.decide(entry.datum_text).status != entry.expected]
     assert failures == []
 
 
@@ -41,9 +42,9 @@ def test_corpus_known_landmarks():
 
 
 def test_corpus_roundtrips_into_scan_cells():
-    report = scan(6, 4)
-    assert report.disagreements == []
-    rendered = {row["input"] for row in report.rows}
+    rows = scan(6, 4)
+    assert disagreements(rows) == []
+    rendered = {row["input"] for row in rows}
     for entry in load_corpus():
         datum = parse_datum(entry.datum_text)
         n = len(datum.partitions)

@@ -10,7 +10,7 @@ import hurwitz.oracle as oracle_mod
 import hurwitz.reduction as reduction_mod
 from hurwitz.corpus import load_corpus
 from hurwitz.criteria import detect_structures, family_instances
-from hurwitz.engine import DecisionEngine, decide, scan, verify
+from hurwitz.engine import DecisionEngine, decide, scan, summary_lines, verify
 from hurwitz.oracle import ConstellationWitness, SearchBudget
 from hurwitz.oracle import decide as oracle_decide
 from hurwitz.partitions import (
@@ -495,8 +495,8 @@ def test_scan_detects_each_signature_once_per_row(monkeypatch):
         return row
 
     monkeypatch.setattr(engine_mod, "_scan_one", counting_scan_one)
-    report = scan(8, 4)
-    assert len(report.rows) == len(per_row) == 1469
+    rows = scan(8, 4)
+    assert len(rows) == len(per_row) == 1469
     assert all(len(set(signatures)) == len(signatures) for signatures in per_row)
     assert len(detected) == 1551
 
@@ -628,7 +628,7 @@ def test_plans_of_one_child_degree_run_in_detection_order():
     assert verdict.method == "reduction:thm2"
     assert [record.role for record in verdict.certificate.steps[0].records] == [
         "pair", "pair", "third"]
-    # the plan sort's theorem key breaks no tie: on balanced data the rows of
+    # the plan sort reads the child degree alone: on balanced data the rows of
     # one child degree share their theorem (a thm1 pair at s = 2t and a thm2
     # triple at t, a thm1 pair at s = 12 and a thm3 triple, or thm2 at t = 6
     # and thm3, would spend more than 2d - 2 of the balance)
@@ -641,19 +641,32 @@ def test_plans_of_one_child_degree_run_in_detection_order():
                         assert theorems.setdefault(u, theorem) == theorem, datum.render()
 
 
+def test_splits_with_hundreds_of_parts_decide():
+    # building a split takes one step per part placed and per group closed;
+    # these splits take about a thousand, more than the default recursion depth
+    for text, status, method in [
+        ("990: [988,2] [988,2] [3" + ",1" * 987 + "]", UNKNOWN, "oracle"),
+        ("800: [400,400] [400,400] [2,2" + ",1" * 796 + "]", REALIZABLE, "reduction:thm1"),
+    ]:
+        datum = parse_datum(text)
+        verdict = decide(datum)
+        assert (verdict.status, verdict.method) == (status, method)
+        assert verify(verdict, datum)
+
+
 def test_scan_statuses_are_pinned():
     # the (input, status) pairs of d <= 8, n <= 4: how a witness is found may
     # move a row's method, certificate and stats, never its status
-    text = "".join(f"{row['input']} {row['status']}\n" for row in scan(8, 4).rows)
+    text = "".join(f"{row['input']} {row['status']}\n" for row in scan(8, 4))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "91949013869a2d7a702fbed28f452d317fd2cf0a648e25085ea3b9ccf57c939c"
     )
 
 
 def test_scan_small_range():
-    report = scan(6, 3)
-    assert all(row["oracle_status"] == row["status"] for row in report.rows)
-    assert report.summary_lines() == [
+    rows = scan(6, 3)
+    assert all(row["oracle_status"] == row["status"] for row in rows)
+    assert summary_lines(rows) == [
         "d=2 n=2: total=1 realizable=1 exceptional=0 unknown=0 by method: base-case=1",
         "d=3 n=2: total=1 realizable=1 exceptional=0 unknown=0 by method: base-case=1",
         "d=3 n=3: total=1 realizable=1 exceptional=0 unknown=0 by method: sample=1",
@@ -672,7 +685,7 @@ def test_scan_small_range():
 def test_scan_parallel_matches_serial():
     serial = scan(5, 3, jobs=1)
     parallel = scan(5, 3, jobs=2)
-    assert serial.rows == parallel.rows
+    assert serial == parallel
 
 
 def test_scan_starts_no_more_workers_than_cpus_or_candidates(monkeypatch):
@@ -698,15 +711,15 @@ def test_scan_starts_no_more_workers_than_cpus_or_candidates(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     serial = scan(4, 3)
-    assert scan(4, 3, jobs=10**6).rows == serial.rows
+    assert scan(4, 3, jobs=10**6) == serial
     assert all(w <= (os.cpu_count() or 1) for w in started), started
     started.clear()
     for cpus in (3, 1, None):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert scan(4, 3, jobs=10**6).rows == serial.rows
+        assert scan(4, 3, jobs=10**6) == serial
     assert started == [3]
     started.clear()
-    assert scan(1, 3, jobs=10**6).rows == [] and started == []  # no candidates, no pool
+    assert scan(1, 3, jobs=10**6) == [] and started == []  # no candidates, no pool
 
 
 def test_pipeline_agrees_with_oracle_alone():
