@@ -3,8 +3,9 @@
 Given a degree and a multiset of partitions (the local degrees over each
 branch point), the package classifies the datum as realizable, exceptional,
 or unknown.  Fast divisibility filters and degree-reducing equivalences
-settle structured data; an exhaustive, certificate-producing permutation
-search settles everything else at small degree.
+settle structured data; seeded random draws (``sample``) look for a witness
+next, and an exhaustive, certificate-producing permutation search settles
+what is left at small degree.
 """
 
 from .criteria import detect_structures, family_instances

@@ -289,7 +289,7 @@ def family_instances(s: int, k: int, t: int) -> Iterator[tuple[CandidateDatum, s
     """
     if s < 2 or k < 2 or t < 1:
         raise ValueError("need s >= 2, k >= 2, t >= 1")
-    uniform = Partition.of([s] * k)
+    uniform = Partition([s] * k)
     for chosen in _length_multisets(s * k, t, family_length_budget(s, k, t)):
         if any(p.parts[0] >= k + 1 for p in chosen):
-            yield CandidateDatum.make(s * k, [*chosen, uniform, uniform]), "cor1.parts"
+            yield CandidateDatum(s * k, [*chosen, uniform, uniform]), "cor1.parts"

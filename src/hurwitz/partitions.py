@@ -3,9 +3,11 @@
 Everything downstream works with two immutable values: a :class:`Partition`
 (the multiset of local degrees over one branch point, stored as a
 non-increasing tuple) and a :class:`CandidateDatum` (a degree together with
-the nontrivial partitions over all branch points).  This module owns
-parsing, normalization, the sphere branch-balance check, and the
-split algebra that the degree reductions run on.
+the nontrivial partitions over all branch points).  Each has one
+constructor, which takes its input in any order and stores it in canonical
+form, so equal values compare equal.  This module owns parsing, the sphere
+branch-balance check, and the split algebra that the degree reductions run
+on.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class DatumParseError(ValueError):
@@ -26,25 +28,19 @@ class DatumParseError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Partition:
-    """A multiset of positive integers, kept sorted non-increasing."""
+    """A multiset of positive integers.  ``Partition(parts)`` takes any
+    nonempty iterable of positive ints and stores it sorted non-increasing."""
 
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if type(self.parts) is not tuple or not self.parts:
-            raise ValueError(f"parts must be a nonempty tuple, got {self.parts!r}")
-        prev = None
-        for p in self.parts:
+        parts = tuple(self.parts)
+        for p in parts:
             if type(p) is not int or p < 1:
                 raise ValueError(f"parts must be positive ints, got {p!r}")
-            if prev is not None and p > prev:
-                raise ValueError("parts must be non-increasing; use Partition.of()")
-            prev = p
-
-    @classmethod
-    def of(cls, parts: Iterable[int]) -> "Partition":
-        """Build a partition from any iterable of positive integers."""
-        return cls(tuple(sorted(parts, reverse=True)))
+        if not parts:
+            raise ValueError("parts must be nonempty")
+        object.__setattr__(self, "parts", tuple(sorted(parts, reverse=True)))
 
     @property
     def total(self) -> int:
@@ -63,7 +59,7 @@ class Partition:
         for p in self.parts:
             if p % s:
                 raise ValueError(f"part {p} is not divisible by {s}")
-        return Partition(tuple(p // s for p in self.parts))
+        return Partition(p // s for p in self.parts)
 
     @property
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
@@ -81,8 +77,9 @@ class Partition:
 class CandidateDatum:
     """A degree with the multiset of nontrivial partitions over its branch points.
 
-    Instances are canonical: partitions are sorted by :attr:`Partition.sort_key`
-    and trivial partitions are never stored, so equal data compare equal.
+    ``CandidateDatum(degree, partitions)`` takes partitions, or iterables of
+    parts, in any order; it drops the trivial ones and stores the rest
+    sorted by :attr:`Partition.sort_key`, so equal data compare equal.
     """
 
     degree: int
@@ -91,26 +88,15 @@ class CandidateDatum:
     def __post_init__(self) -> None:
         if type(self.degree) is not int or self.degree < 1:
             raise ValueError(f"degree must be a positive int, got {self.degree!r}")
-        prev = None
+        kept = []
         for p in self.partitions:
-            if p.trivial:
-                raise ValueError(f"trivial partition {p} must be dropped")
+            p = p if isinstance(p, Partition) else Partition(p)
             if p.total != self.degree:
                 raise ValueError(f"partition {p} sums to {p.total}, expected degree {self.degree}")
-            if prev is not None and p.sort_key < prev:
-                raise ValueError("partitions out of canonical order; use CandidateDatum.make()")
-            prev = p.sort_key
-
-    @classmethod
-    def make(cls, degree: int, partitions: Iterable[Partition | Iterable[int]]) -> "CandidateDatum":
-        """Normalize and build: sort parts, drop trivial partitions, sort the datum."""
-        norm = []
-        for p in partitions:
-            part = p if isinstance(p, Partition) else Partition.of(p)
-            if not part.trivial:
-                norm.append(part)
-        norm.sort(key=lambda p: p.sort_key)
-        return cls(degree, tuple(norm))
+            if not p.trivial:
+                kept.append(p)
+        kept.sort(key=lambda p: p.sort_key)
+        object.__setattr__(self, "partitions", tuple(kept))
 
     def render(self) -> str:
         """Canonical text form, reparseable by :func:`parse_datum`."""
@@ -145,20 +131,18 @@ def parse_datum(text: str) -> CandidateDatum:
     ``partition := "[" int ("," int)* "]"``; integers are positive and
     written in the ASCII digits 0-9.  Errors report a 0-based offset into
     the input.  One regular expression accepts well-formed text; text it
-    rejects, a zero, a partition of the wrong sum or an int too long for
-    ``int()`` goes to :func:`_scan_datum`, which words the error.
+    rejects, and text whose datum cannot be built (a zero, a partition of
+    the wrong sum, an int too long for ``int()``), goes to
+    :func:`_scan_datum`, which words the error.
     """
     match = _DATUM_TEXT.fullmatch(text)
     if match is not None:
         body = "".join(match[2].split())  # "[a,b][c,d]..."
         rows = body[1:-1].split("][") if body else []
         try:
-            degree = int(match[1])
-            rows = [[int(x) for x in row.split(",")] for row in rows]
-        except ValueError:  # more digits than the interpreter converts
-            return _scan_datum(text)
-        if degree and all(sum(row) == degree and 0 not in row for row in rows):
-            return CandidateDatum.make(degree, rows)
+            return CandidateDatum(int(match[1]), [[int(x) for x in row.split(",")] for row in rows])
+        except ValueError:
+            pass
     return _scan_datum(text)
 
 
@@ -204,9 +188,9 @@ def _scan_datum(text: str) -> CandidateDatum:
         total = sum(parts)
         if total != degree:
             raise DatumParseError(
-                f"partition {Partition.of(parts)} sums to {total}, expected degree {degree}", pos
+                f"partition {Partition(parts)} sums to {total}, expected degree {degree}", pos
             )
-    return CandidateDatum.make(degree, (parts for _, parts in collected))
+    return CandidateDatum(degree, (parts for _, parts in collected))
 
 
 def decompose(partition: Partition, count: int) -> tuple[tuple[Partition, ...], ...]:
@@ -216,43 +200,44 @@ def decompose(partition: Partition, count: int) -> tuple[tuple[Partition, ...], 
     split is a tuple of groups in sort-key order.  Groups may be trivial
     (all ones).  Returns the empty tuple when no split exists, e.g. when
     some part exceeds a group's total.  One rule makes every split appear
-    once: the groups are filled one at a time, each starts with the largest
-    part left, and none is lexicographically greater than the group before
-    it, so a split is built only with its groups in non-increasing order.
+    once: the groups are filled one at a time, each takes the largest part
+    left, and none is lexicographically greater than the group before it,
+    so a split is built only with its groups in non-increasing order.
     """
     if count < 1 or partition.total % count:
         raise ValueError(f"{count} equal groups cannot reassemble a total of {partition.total}")
     total = partition.total // count
 
     parts = partition.parts
+    values = sorted(set(parts), reverse=True)
     found: list[tuple[Partition, ...]] = []
-    # a depth-first walk of (groups done, group, next index, room, bound, used
-    # parts as bits); ``bound`` is the group before while ``group`` is a
-    # prefix of it.  Branches are pushed in reverse, so they pop in order.
-    stack: list[tuple] = [((), (), 0, total, None, 0)]
+    # a depth-first walk over the distinct values, largest first, of (groups
+    # done, copies left of each value, the group's copies of the values so
+    # far, room, bound).  Copy counts in value order compare as the parts
+    # do, so ``bound`` is the group before while ``group`` is a prefix of
+    # it.  Branches take the most copies first and are pushed in reverse,
+    # so they pop in order.
+    stack: list[tuple] = [((), tuple(map(parts.count, values)), (), total, None)]
     while stack:
-        done, group, start, room, bound, used = stack.pop()
+        done, left, group, room, bound = stack.pop()
+        i = len(group)
         if room == 0:
-            done += (Partition(group),)
+            group += (0,) * (len(values) - i)
+            done += (Partition(v for v, c in zip(values, group) for _ in range(c)),)
             if len(done) == count:
                 found.append(tuple(sorted(done, key=lambda p: p.sort_key)))
-            else:  # the next group starts at the first free part
-                first = (~used & (used + 1)).bit_length() - 1
-                stack.append((done, (), first, total, done[-1].parts, used))
+            else:  # the next group takes the largest value left
+                first = next(k for k, c in enumerate(left) if c)
+                stack.append((done, left, (0,) * first, total, None if any(group[:first]) else group))
             continue
-        branches = []
-        last = 0
-        top = room if bound is None else min(room, bound[len(group)])
-        for k in range(start, len(parts)):
-            p = parts[k]
-            if p <= top and p != last and not used >> k & 1:
-                last = p  # an equal part here would repeat this branch
-                branches.append((done, group + (p,), k + 1, room - p,
-                                 bound if bound and p == bound[len(group)] else None,
-                                 used | 1 << k))
-            if not group:
-                break  # a group starts with the largest part left
-        stack += reversed(branches)
+        v = values[i]
+        most = min(left[i], room // v) if bound is None else min(left[i], room // v, bound[i])
+        least = 1 if room == total else 0
+        if i == len(values) - 1:  # the last value must fill the room
+            least = most if most * v == room else most + 1
+        stack += [(done, left[:i] + (left[i] - c,) + left[i + 1:], group + (c,), room - c * v,
+                   bound if bound and c == bound[i] else None)
+                  for c in range(least, most + 1)]
     return tuple(found)
 
 def partitions_of(total: int) -> Iterator[tuple[int, ...]]:

@@ -134,14 +134,14 @@ def replay(step: ReductionStep, parent: CandidateDatum) -> CandidateDatum:
             raise StepReplayError(f"record {i}: {len(rec.pieces)} pieces, expected {count}")
         if not all(isinstance(piece, Partition) and piece.total == u for piece in rec.pieces):
             raise StepReplayError(f"record {i}: a piece is not a partition of {u}")
-        if Partition.of(scale * x for piece in rec.pieces for x in piece.parts) != source:
+        if Partition(scale * x for piece in rec.pieces for x in piece.parts) != source:
             raise StepReplayError(f"record {i} does not rebuild the parent's partition {source}")
         pieces.extend(rec.pieces)
     roles = [rec.role for rec in step.records]
     thirds = int(ROLE_THIRD in shape)
     if roles.count(ROLE_PAIR) != 2 or roles.count(ROLE_THIRD) != thirds:
         raise StepReplayError(f"{step.theorem} needs two pair-role records and {thirds} third")
-    return CandidateDatum.make(u, pieces)
+    return CandidateDatum(u, pieces)
 
 
 def _children(
@@ -188,7 +188,7 @@ def _children(
     order = sorted(range(len(slots)), key=lambda k: slots[k][0])
     seen = set()
     for combo in iproduct(*option_lists):
-        child = CandidateDatum.make(u, [g for groups in combo for g in groups])
+        child = CandidateDatum(u, [g for groups in combo for g in groups])
         if child in seen:
             continue
         seen.add(child)

@@ -185,9 +185,9 @@ def reference_decide(datum: CandidateDatum) -> str:
 
 def songxu_datum(k: int, x: int, y: int, first: Partition) -> CandidateDatum:
     """The normalized datum {first, [2..2,2y], [2..2,2x]} of degree 2k."""
-    second = Partition.of([2] * (k - y) + [2 * y])
-    third = Partition.of([2] * (k - x) + [2 * x])
-    return CandidateDatum.make(2 * k, [first, second, third])
+    second = Partition([2] * (k - y) + [2 * y])
+    third = Partition([2] * (k - x) + [2 * x])
+    return CandidateDatum(2 * k, [first, second, third])
 
 
 def reference_corollaries(datum: CandidateDatum, strict: bool) -> list[dict]:

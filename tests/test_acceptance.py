@@ -184,7 +184,7 @@ def test_criterion_songxu_agreement():
                     if closed != oracle_status(datum):
                         mismatches.append((k, x, y, str(first)))
                     checked += 1
-    gcd_case = not songxu_decide(4, 3, 1, Partition.of([2, 2, 2, 2]))
+    gcd_case = not songxu_decide(4, 3, 1, Partition([2, 2, 2, 2]))
     elapsed = time.perf_counter() - start
     _criterion(
         "songxu-agreement",

@@ -230,3 +230,15 @@ def test_closed_stdout_exits_1_silently():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert err == b""
+
+
+def test_closed_stdout_exits_1_in_process(monkeypatch):
+    # the same exit as above inside this process, so a line trace of the suite
+    # reaches it: the pipe's reader is closed before the command prints
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["check", "4: [3,1] [2,2] [2,2]"]) == 1
+        print("more output", file=stdout)
+        stdout.flush()  # stdout now writes to the null device

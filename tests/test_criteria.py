@@ -30,7 +30,7 @@ def D(text):
 
 
 def P(*parts):
-    return Partition.of(parts)
+    return Partition(parts)
 
 
 def prop1(datum):
@@ -137,7 +137,7 @@ def test_corollary_filter_matches_reference():
                     strict_only.append(datum.render())
                 flagged += bool(weak)
     assert (checked, flagged) == (5543, 437)
-    assert strict_only == [CandidateDatum.make(2 * k, [[k, k], [2] * k, [2] * k]).render()
+    assert strict_only == [CandidateDatum(2 * k, [[k, k], [2] * k, [2] * k]).render()
                            for k in range(2, 9)]
     assert all(decide(D(text)).status == REALIZABLE for text in strict_only)
 
@@ -155,7 +155,7 @@ def test_report_json_shape():
 def test_songxu_realizable_case():
     assert songxu_decide(3, 1, 1, P(3, 3)) is True
     datum = songxu_datum(3, 1, 1, P(3, 3))
-    assert datum == CandidateDatum.make(6, [[3, 3], [2, 2, 2], [2, 2, 2]])
+    assert datum == CandidateDatum(6, [[3, 3], [2, 2, 2], [2, 2, 2]])
     assert oracle_decide(datum).status == REALIZABLE
 
 
@@ -166,7 +166,7 @@ def test_songxu_part_size_failure():
 def test_songxu_gcd_failure():
     assert songxu_decide(4, 3, 1, P(2, 2, 2, 2)) is False
     datum = songxu_datum(4, 3, 1, P(2, 2, 2, 2))
-    assert datum == CandidateDatum.make(8, [[2, 2, 2, 2], [2, 2, 2, 2], [6, 2]])
+    assert datum == CandidateDatum(8, [[2, 2, 2, 2], [2, 2, 2, 2], [6, 2]])
     assert oracle_decide(datum).status == EXCEPTIONAL
 
 

@@ -22,6 +22,7 @@ from hurwitz.partitions import (
 )
 from hurwitz.reduction import ReductionChain, StepReplayError, replay
 from hurwitz.verdicts import EXCEPTIONAL, REALIZABLE, UNKNOWN, Verdict
+from oracles import reference_check_witness
 
 
 def D(text):
@@ -79,10 +80,10 @@ def test_unknown_child_keeps_its_plan_from_proving_exceptional():
 
 
 def test_base_cases():
-    one = decide(CandidateDatum.make(1, []))
+    one = decide(CandidateDatum(1, []))
     assert (one.status, one.certificate) == (REALIZABLE, ConstellationWitness(1, ()))
     assert decide("7: [7] [7]").method == "base-case"
-    single = CandidateDatum.make(2, [[2]])
+    single = CandidateDatum(2, [[2]])
     assert decide(single).status == EXCEPTIONAL
     assert decide(single).method == "rh"  # one partition of 2 is unbalanced
 
@@ -108,6 +109,18 @@ def test_verify_rejects_tampered_witness():
         verdict, certificate=ConstellationWitness(3, (tuple(images),) + witness.perms[1:])
     )
     assert not verify(bad, datum)
+
+
+@pytest.mark.parametrize("text, perms", [
+    ("3: [3] [2,1] [2,1]", ((1, 2, 0), (1, 0, 2), (1, 0, 2))),  # right cycle types, product not 1
+    ("3: [2,1] [2,1] [2,1] [2,1]", ((1, 0, 2),) * 4),  # product 1, but point 2 is fixed
+], ids=["product-not-identity", "intransitive"])
+def test_witness_checks_reject_a_wrong_product_or_orbit(text, perms):
+    datum = D(text)
+    witness = ConstellationWitness(datum.degree, perms)
+    assert not oracle_mod.check_witness(datum, witness)
+    assert not reference_check_witness(datum, witness)
+    assert not verify(Verdict(REALIZABLE, "sample", witness), datum)
 
 
 def test_verify_rejects_missing_certificate():
@@ -190,7 +203,7 @@ def test_verify_rejects_malformed_chain():
 
     def ones(records):
         # the [3,2,2,1,1] record's pieces rebuilding [1]*9, which a datum drops
-        records[2] = dataclasses.replace(records[2], pieces=(Partition.of([1, 1, 1]),) * 3)
+        records[2] = dataclasses.replace(records[2], pieces=(Partition([1, 1, 1]),) * 3)
         return records
 
     def one_pair(records):
@@ -287,7 +300,7 @@ def test_verify_exceptional_methods():
 def test_verify_rejects_exceptional_base_case():
     # no base case is exceptional: these four are realizable, and no
     # exceptional method but rh is accepted on one
-    for datum in (CandidateDatum.make(1, []), D("2: [2] [2]"), D("4: [4] [4]"), D("5: [5] [5]")):
+    for datum in (CandidateDatum(1, []), D("2: [2] [2]"), D("4: [4] [4]"), D("5: [5] [5]")):
         assert decide(datum).status == REALIZABLE
         for method in ("base-case", "oracle", "reduction:thm1", "filter:cor1.parts", "songxu"):
             assert not verify(Verdict(EXCEPTIONAL, method), datum), (datum.render(), method)

@@ -46,7 +46,7 @@ def test_zheng_pair():
 
 
 def test_base_shapes():
-    one = decide(CandidateDatum.make(1, []))
+    one = decide(CandidateDatum(1, []))
     assert one.status == REALIZABLE and one.certificate.perms == ()
     two = decide(D("5: [5] [5]"))
     assert two.status == REALIZABLE
@@ -59,7 +59,7 @@ def test_base_shapes():
 
 def test_rh_precondition():
     with pytest.raises(ValueError):
-        decide(CandidateDatum.make(3, [[3], [3], [3]]))
+        decide(CandidateDatum(3, [[3], [3], [3]]))
 
 
 def test_degree_limit():
@@ -114,7 +114,7 @@ def test_datum_order_invariance():
     for degree, partitions, status in ORDER_CASES:
         for order in itertools.permutations(partitions):
             datum = SimpleNamespace(
-                degree=degree, partitions=tuple(Partition.of(p) for p in order)
+                degree=degree, partitions=tuple(Partition(p) for p in order)
             )
             witness = _TupleSearch(datum, SearchBudget()).run()
             assert (REALIZABLE if witness else EXCEPTIONAL) == status, order

@@ -20,13 +20,13 @@ def test_cycle_type_examples():
     assert naive_cycle_lengths(p) == (3, 2)
     assert naive_cycle_lengths(identity(4)) == (1, 1, 1, 1)
     assert naive_cycle_lengths(from_cycles(6, [tuple(range(6))])) == (6,)
-    assert naive_cycle_lengths(canonical_of_type(Partition.of([4, 2, 1]))) == (4, 2, 1)
+    assert naive_cycle_lengths(canonical_of_type(Partition([4, 2, 1]))) == (4, 2, 1)
 
 
 def test_canonical_of_type_examples():
-    assert canonical_of_type(Partition.of([3, 2])) == from_cycles(5, [(0, 1, 2), (3, 4)])
-    assert canonical_of_type(Partition.of([1, 1])) == identity(2)
-    assert canonical_of_type(Partition.of([4])) == (1, 2, 3, 0)
+    assert canonical_of_type(Partition([3, 2])) == from_cycles(5, [(0, 1, 2), (3, 4)])
+    assert canonical_of_type(Partition([1, 1])) == identity(2)
+    assert canonical_of_type(Partition([4])) == (1, 2, 3, 0)
 
 
 def test_compose_convention():
@@ -70,7 +70,7 @@ def test_class_size_matches_enumeration():
             tuple(sorted((len(c) for c in cycles(p)), reverse=True))
             for p in itertools.permutations(range(degree))
         ):
-            t = Partition.of(parts)
+            t = Partition(parts)
             assert class_size(t) == len(class_elements(degree, parts))
 
 

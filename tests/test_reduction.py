@@ -24,7 +24,7 @@ def D(text):
 
 
 def match_for(datum, pair_partitions, divisor):
-    wanted = {Partition.of(p) for p in pair_partitions}
+    wanted = {Partition(p) for p in pair_partitions}
     for match in detect_structures(datum):
         if match.divisor != divisor:
             continue
@@ -40,7 +40,7 @@ def test_thm1_quotients_and_drops_trivial():
     datum = D("6: [2,2,2] [2,2,2] [3,3]")
     match = match_for(datum, [[2, 2, 2], [2, 2, 2]], 2)
     steps = list(children_thm1(datum, match))
-    assert [child for _, child in steps] == [CandidateDatum.make(3, [[3], [3]])]
+    assert [child for _, child in steps] == [CandidateDatum(3, [[3], [3]])]
 
 
 def test_thm1_empty_when_no_split_exists():
@@ -53,7 +53,7 @@ def test_thm1_klein():
     datum = D("4: [2,2] [2,2] [2,2]")
     match = detect_structures(datum)[0]
     steps = list(children_thm1(datum, match))
-    assert [child for _, child in steps] == [CandidateDatum.make(2, [[2], [2]])]
+    assert [child for _, child in steps] == [CandidateDatum(2, [[2], [2]])]
 
 
 def test_thm1_children_are_balanced_and_replayable():
@@ -77,8 +77,8 @@ def test_thm2_collapses_klein_to_degree_one():
     datum = D("4: [2,2] [2,2] [2,2]")
     match = [m for m in detect_structures(datum) if m.pair == (0, 1)][0]
     steps = list(children_thm2(datum, match, third=2, t=2))
-    assert [child for _, child in steps] == [CandidateDatum.make(1, [])]
-    assert replay(steps[0][0], datum) == CandidateDatum.make(1, [])
+    assert [child for _, child in steps] == [CandidateDatum(1, [])]
+    assert replay(steps[0][0], datum) == CandidateDatum(1, [])
 
 
 def test_thm2_degree_eight_pair():
@@ -86,7 +86,7 @@ def test_thm2_degree_eight_pair():
     datum = D("8: [4,4] [2,2,2,2] [2,2,2,2]")
     match = [m for m in detect_structures(datum) if m.pair == (0, 1)][0]
     steps = list(children_thm2(datum, match, third=2, t=2))
-    assert [child for _, child in steps] == [CandidateDatum.make(2, [[2], [2]])]
+    assert [child for _, child in steps] == [CandidateDatum(2, [[2], [2]])]
     # the equivalence direction: that child is realizable, and so is the parent
     assert oracle_decide(steps[0][1]).status == REALIZABLE
     assert oracle_decide(datum).status == REALIZABLE
@@ -108,13 +108,13 @@ def test_thm3_tetrahedral_to_degree_one():
     datum = D("12: [3,3,3,3] [3,3,3,3] [2,2,2,2,2,2]")
     match = [m for m in detect_structures(datum) if m.divisor == 3][0]
     steps = list(children_thm3(datum, match, third=match.other_gcds[0][0]))
-    assert [child for _, child in steps] == [CandidateDatum.make(1, [])]
-    assert replay(steps[0][0], datum) == CandidateDatum.make(1, [])
+    assert [child for _, child in steps] == [CandidateDatum(1, [])]
+    assert replay(steps[0][0], datum) == CandidateDatum(1, [])
 
 
 def test_thm3_gate_examples():
     # an unbalanced variant never reaches the reduction
-    bad = CandidateDatum.make(12, [[3, 3, 3, 3], [3, 3, 3, 3], [4, 4, 4]])
+    bad = CandidateDatum(12, [[3, 3, 3, 3], [3, 3, 3, 3], [4, 4, 4]])
     assert rh_defect(bad) == 3
     with pytest.raises(ValueError):
         list(children_thm3(bad, None, third=0))
@@ -134,7 +134,7 @@ def test_replay_rejects_tampering():
     step, _ = next(iter(children_thm1(datum, match)))
     record = step.records[-1]
     tampered_record = dataclasses.replace(
-        record, pieces=(record.pieces[0], Partition.of([2, 1]))
+        record, pieces=(record.pieces[0], Partition([2, 1]))
     )
     tampered = dataclasses.replace(
         step, records=step.records[:-1] + (tampered_record,)
@@ -203,7 +203,7 @@ def _forgeries():
     # [2,2,2] [2,2,2] [3,3] is out of canonical order
     yield pytest.param(six, dataclasses.replace(step, records=(pair_a, pair_b, other)), "rebuild",
                        id="sources-out-of-order")
-    ones = dataclasses.replace(other, pieces=(Partition.of([1, 1, 1]),) * 2)
+    ones = dataclasses.replace(other, pieces=(Partition([1, 1, 1]),) * 2)
     yield pytest.param(six, dataclasses.replace(step, records=(ones, pair_a, pair_b)), "rebuild",
                        id="all-ones-source")
     yield pytest.param(six, dataclasses.replace(step, records=step.records[:2]), "one per parent",
@@ -212,13 +212,13 @@ def _forgeries():
     klein = D("4: [2,2] [2,2] [2,2]")
     match = [m for m in detect_structures(klein) if m.pair == (0, 1)][0]
     step, _ = next(iter(children_thm2(klein, match, third=2, t=2)))
-    twos = tuple(dataclasses.replace(r, pieces=(Partition.of([2]),) * len(r.pieces)) for r in step.records)
+    twos = tuple(dataclasses.replace(r, pieces=(Partition([2]),) * len(r.pieces)) for r in step.records)
     yield pytest.param(klein, dataclasses.replace(step, records=twos), "piece", id="child-of-another-degree")
     # [3,2,2,1,1] rebuilt from pieces of totals 5, 3 and 1 instead of three of 3
     nine = D("9: [3,3,3] [3,3,3] [3,2,2,1,1]")
     step, _ = next(iter(children_thm1(nine, match_for(nine, [[3, 3, 3], [3, 3, 3]], 3))))
-    uneven = dataclasses.replace(step.records[2], pieces=(Partition.of([3, 2]), Partition.of([2, 1]),
-                                                          Partition.of([1])))
+    uneven = dataclasses.replace(step.records[2], pieces=(Partition([3, 2]), Partition([2, 1]),
+                                                          Partition([1])))
     yield pytest.param(nine, dataclasses.replace(step, records=step.records[:2] + (uneven,)), "piece",
                        id="pieces-of-unequal-totals")
 
