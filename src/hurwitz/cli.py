@@ -37,9 +37,11 @@ class _Parser(argparse.ArgumentParser):
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
     default = SearchBudget()
     sub.add_argument("--max-degree", type=int, default=default.max_degree,
-                     help="largest degree the search will attempt (default %(default)s)")
+                     help="largest degree the random draws and the search will attempt "
+                          "(default %(default)s)")
     sub.add_argument("--max-nodes", type=int, default=default.max_nodes,
-                     help="backtrack-node budget for one search (default %(default)s)")
+                     help="backtrack-node budget for one search, each random draw made "
+                          "before it counting as one node (default %(default)s)")
 
 
 def _output_file(path: str) -> str:

@@ -20,8 +20,10 @@ The engine decides a datum by the cheapest sufficient means, in order:
      nothing, and the exhaustive search settles whatever remains within
      budget (``oracle``), else the verdict is unknown with a stated limit.
      Each draw after the first relabels one drawn factor, in turn, so draws
-     n - 2 apart are independent.  Each draw is charged as one node of the
-     budget.
+     n - 2 apart are independent.  With n >= 4 a draw tests two cyclic
+     orders, the second with the two factors before the forced one swapped,
+     and a braid move carries a hit there back to the datum's order.  Each
+     draw is charged as one node of the budget.
 
 Every engine memoizes its verdicts on the normalized datum, the structures
 it has detected on the (degree, partition gcds) signature, which is all

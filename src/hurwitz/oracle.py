@@ -63,7 +63,10 @@ datum's text, with the smallest class's factor pinned, the others but the
 largest class's drawn uniformly from their classes, and that one forced.
 The first draw relabels every drawn factor and each later draw only one of
 them, in turn, so each tuple is still uniform on the drawn classes and
-draws n - 2 apart are independent.  Its witnesses pass
+draws n - 2 apart are independent.  With four or more factors a draw also
+tests the order with the two factors before the forced one swapped, and
+carries a hit there back to the datum's order by one braid move, which
+keeps every cycle type and the generated group.  Its witnesses pass
 :func:`check_witness` like the search's; a miss proves nothing.
 :func:`decide` never samples: it is the search alone, so a scan that runs
 both compares two independent methods on realizable data.
@@ -100,10 +103,11 @@ from .verdicts import (
 # the most random tuples :func:`sample` draws for one datum before the search
 # takes over.  Of the 2,078 3-point data with 8 <= d <= 10 and the 714 4-point
 # data with d = 8 that reach the search without it, 100, 200 and 400 draws
-# leave 61, 30 and 17, and 12, 5 and 3.  In four alternating 20 s pairs of
-# bench/run.py (2 vCPU, CPython 3.11), 400 draws moved decide_tail_ms by +6%
-# on the 3-point data and -5% on the 4-point data, no more than the 5% that
-# crosscheck_per_s, which the draws do not touch, moved between the same runs
+# leave 61, 30 and 17, and, testing two cyclic orders a draw, 3, 2 and 0.  In
+# four alternating 20 s pairs of bench/run.py (2 vCPU, CPython 3.11), with one
+# order a draw, 400 draws moved decide_tail_ms by +6% on the 3-point data and
+# -5% on the 4-point data, no more than the 5% that crosscheck_per_s, which
+# the draws do not touch, moved between the same runs
 SAMPLE_DRAWS = 200
 
 
@@ -180,6 +184,26 @@ def _cycles_fit(p, left: list[int]) -> bool:
             x = p[x]
             length += 1
         if x != start or not left[length]:
+            return False
+        left[length] -= 1
+    return True
+
+
+def _product_fits(x, y, z, left: list[int]) -> bool:
+    """Walk each cycle of the product x o y o z of three permutations of
+    0..d-1, computing an entry only when the walk visits it, and spend one of
+    ``left``'s parts of its length, as :func:`_cycles_fit` does; False at the
+    first cycle with no part left, before the rest of the product is built."""
+    seen = [False] * len(z)
+    for start in range(len(z)):
+        if seen[start]:
+            continue
+        v, length = start, 0
+        while not seen[v]:
+            seen[v] = True
+            v = x[y[z[v]]]
+            length += 1
+        if not left[length]:
             return False
         left[length] -= 1
     return True
@@ -499,6 +523,16 @@ def sample(datum: CandidateDatum, draws: int) -> tuple[ConstellationWitness | No
     so they are independent.  A relabelling takes d random numbers and one
     sort.  The generator is seeded from the datum's text, so a datum
     always gets the same witness.  A miss proves nothing.
+
+    With Y and Z the two factors just before the forced one and X the
+    product of the rest, a draw tests the product X o Y o Z against the
+    forced type and, with four or more factors, X o Z o Y too (with three,
+    X is the identity and Z o Y a conjugate of Y o Z).  Each test computes a
+    product entry only when its cycle walk visits it and stops at the first
+    cycle the type has no part for.  A hit on the swapped order is carried
+    back by one braid move: Z's slot takes Y^-1 o Z o Y, so that
+    X o Y o (Y^-1 o Z o Y) = X o Z o Y.  The move keeps every cycle type and
+    the generated group, so transitivity is tested once, before it.
     """
     d = datum.degree
     n = len(datum.partitions)
@@ -507,11 +541,13 @@ def sample(datum: CandidateDatum, draws: int) -> tuple[ConstellationWitness | No
     pinned, forced = order[0], order[-1]
     images = [canonical_of_type(p) for p in datum.partitions]
     around = [(forced + j) % n for j in range(1, n)]
+    *rest, y_pos, z_pos = around
     drawn = [(i, images[i]) for i in around if i != pinned]
     want = [0] * (d + 1)
     for c in datum.partitions[forced].parts:
         want[c] += 1
     points = range(d)
+    ident = identity(d)  # X, the product of no factor, when there are three
     r = random.Random(datum.render()).random
     for made in range(1, draws + 1):
         for i, canon in drawn if made == 1 else (drawn[made % len(drawn)],):
@@ -520,20 +556,26 @@ def sample(datum: CandidateDatum, draws: int) -> tuple[ConstellationWitness | No
             img = images[i] = [0] * d
             for x in points:
                 img[g[x]] = g[canon[x]]
-        # the forced factor's type is that of the product it inverts, read
-        # one cycle at a time and given up at the first one it has no part for
-        prod = images[around[0]]
-        for i in around[1:]:
-            prod = [prod[y] for y in images[i]]
-        if _cycles_fit(prod, want.copy()):
-            generators = [images[i] for i in range(n) if i != forced]
-            if is_transitive(generators, d):
-                perms = list(images)
-                perms[forced] = inverse(prod)
-                witness = ConstellationWitness(d, tuple(tuple(p) for p in perms))
-                if not check_witness(datum, witness):
-                    raise RuntimeError(f"sampler produced an invalid witness for {datum}")
-                return witness, made
+        x = images[rest[0]] if rest else ident
+        for i in rest[1:]:
+            x = [x[v] for v in images[i]]
+        y, z = images[y_pos], images[z_pos]
+        if _product_fits(x, y, z, want.copy()):
+            swapped = False
+        elif rest and _product_fits(x, z, y, want.copy()):
+            swapped = True
+        else:
+            continue
+        if is_transitive([images[i] for i in around], d):
+            perms = list(images)
+            if swapped:
+                y_inv = inverse(y)
+                z = perms[z_pos] = [y_inv[z[y[v]]] for v in points]
+            perms[forced] = inverse([x[y[z[v]]] for v in points])
+            witness = ConstellationWitness(d, tuple(tuple(p) for p in perms))
+            if not check_witness(datum, witness):
+                raise RuntimeError(f"sampler produced an invalid witness for {datum}")
+            return witness, made
     return None, draws
 
 

@@ -122,7 +122,7 @@ def test_scan_bytes_are_pinned(tmp_path, capsys):
     assert data.count(b"\n") == 1469
     assert data.count(b'"type":"chain"') == 102
     assert hashlib.sha256(data).hexdigest() == (
-        "27491812b037e726a05e007468f85f52e9cf6f0d018c0ed3f9e8f63ca1bdf8f4"
+        "ae0536cff9c69a2c55b88ac9a24beb95ceedbc635e6ebfca0d371acb881adc7c"
     )
 
 

@@ -16,7 +16,7 @@ from hurwitz.oracle import (
     decide,
 )
 from hurwitz.partitions import CandidateDatum, Partition, enumerate_candidates, parse_datum
-from hurwitz.perms import inverse
+from hurwitz.perms import cycles, inverse
 from hurwitz.verdicts import EXCEPTIONAL, REALIZABLE, UNKNOWN
 from oracles import reference_check_witness, reference_decide, relabel
 
@@ -411,7 +411,7 @@ def test_sampler_hits_only_realizable_data_with_valid_witnesses():
                     hits += 1
                     assert 1 <= draws <= oracle_mod.SAMPLE_DRAWS
                     assert check_witness(datum, witness), datum.render()
-    assert (exceptional, hits, misses) == (68, 3379, 24)
+    assert (exceptional, hits, misses) == (68, 3382, 21)
 
 
 def test_three_point_draws_are_pinned():
@@ -425,6 +425,39 @@ def test_three_point_draws_are_pinned():
             perms = None if witness is None else witness.perms
             digest.update(f"{datum.render()} {draws} {perms}\n".encode())
     assert digest.hexdigest() == "09b15f7229dfa105413312ff296d7e683789d981fcac961c47e0242d9c22a768"
+
+
+def test_four_point_draws_are_pinned():
+    # each draw tests the drawn factors in two cyclic orders, and a hit on the
+    # swapped one is carried back by a braid move: the draws, and the witness
+    # each datum gets, of every 4-point datum with d <= 8
+    digest = hashlib.sha256()
+    for degree in range(3, 9):
+        for datum in enumerate_candidates(degree, 4):
+            witness, draws = oracle_mod.sample(datum, oracle_mod.SAMPLE_DRAWS)
+            perms = None if witness is None else witness.perms
+            digest.update(f"{datum.render()} {draws} {perms}\n".encode())
+    assert digest.hexdigest() == "7621064e43955dc021f15d5f7a663375b099ee16b7f4f9e93fee8abc49abe239"
+
+
+def test_a_swapped_order_hit_is_carried_back_by_a_braid_move(monkeypatch):
+    # the first draw's product X o Y o Z misses the forced type and X o Z o Y
+    # fits it, so Z's slot takes Y^-1 o Z o Y: the witness still lists each
+    # factor in the datum's order, of that partition's type
+    tests = []
+    fits = oracle_mod._product_fits
+
+    def recording(x, y, z, left):
+        tests.append(fits(x, y, z, left))
+        return tests[-1]
+
+    monkeypatch.setattr(oracle_mod, "_product_fits", recording)
+    datum = D("8: [4,4] [3,3,1,1] [4,1,1,1,1] [2,1,1,1,1,1,1]")
+    witness, draws = oracle_mod.sample(datum, oracle_mod.SAMPLE_DRAWS)
+    assert (draws, tests) == (1, [False, True])
+    assert check_witness(datum, witness)
+    assert [tuple(sorted(map(len, cycles(p)), reverse=True)) for p in witness.perms] == [
+        part.parts for part in datum.partitions]
 
 
 def test_sampled_witness_literal():
