@@ -23,7 +23,9 @@ The engine decides a datum by the cheapest sufficient means, in order:
      n - 2 apart are independent.  With n >= 4 a draw tests two cyclic
      orders, the second with the two factors before the forced one swapped,
      and a braid move carries a hit there back to the datum's order.  Each
-     draw is charged as one node of the budget.
+     draw is charged as one node of the budget.  The search here offers
+     orbit-joining images first (``join_first``); the scan's second opinion,
+     :func:`hurwitz.oracle.decide` with its default order, does not.
 
 Every engine memoizes its verdicts on the normalized datum, the structures
 it has detected on the (degree, partition gcds) signature, which is all
@@ -143,7 +145,9 @@ class DecisionEngine:
         """Seeded random draws, then on a miss the search with the nodes left.
 
         Each draw is charged as one node.  Draws are made only where the
-        search would run, so the degree limit stays the search's.
+        search would run, so the degree limit stays the search's.  The
+        search offers orbit-joining images first, and is called through the
+        module so that a tracer wrapping ``oracle.decide`` sees it.
         """
         budget = self.budget
         if datum.degree <= budget.max_degree:
@@ -154,7 +158,7 @@ class DecisionEngine:
             if draws == budget.max_nodes:
                 return Verdict(UNKNOWN, "sample", limit=LIMIT_BUDGET)
             budget = replace(budget, max_nodes=budget.max_nodes - draws)
-        verdict = oracle_mod.decide(datum, budget)
+        verdict = oracle_mod.decide(datum, budget, join_first=True)
         self._nodes += verdict.stats.nodes
         return verdict
 

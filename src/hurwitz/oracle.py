@@ -52,7 +52,17 @@ here is complete:
     by its smallest point.  Conjugating a tuple under that centralizer
     keeps the pinned factor and the factor built so far, and the
     representative is tried first, so the first witness found does not
-    change.
+    change,
+  * an image that does not close its cycle is tried in ascending order,
+    or, with ``join_first``, which only the engine's pipeline sets, first
+    among the unused points outside the orbit of the point being mapped,
+    so that it joins two orbits, and then among those inside it, each
+    ascending.  The default order builds a factor inside the orbit it
+    already has, whose non-transitive tuples the orbit bound kills only
+    late.  An untouched pinned cycle holds no used point, so it is never
+    in that orbit: the centralizer break offers the same representatives
+    in the same order, and on 3-point data an exhaustion visits the same
+    nodes in either.
 
 One backtrack node is charged per assigned cycle; exceeding the node
 budget aborts the search with an ``unknown`` verdict, never a wrong one.
@@ -69,7 +79,8 @@ carries a hit there back to the datum's order by one braid move, which
 keeps every cycle type and the generated group.  Its witnesses pass
 :func:`check_witness` like the search's; a miss proves nothing.
 :func:`decide` never samples: it is the search alone, so a scan that runs
-both compares two independent methods on realizable data.
+both compares two independent methods on realizable data; its default
+order also checks the pipeline's ``join_first`` search on every status.
 """
 
 from __future__ import annotations
@@ -103,11 +114,13 @@ from .verdicts import (
 # the most random tuples :func:`sample` draws for one datum before the search
 # takes over.  Of the 2,078 3-point data with 8 <= d <= 10 and the 714 4-point
 # data with d = 8 that reach the search without it, 100, 200 and 400 draws
-# leave 61, 30 and 17, and, testing two cyclic orders a draw, 3, 2 and 0.  In
-# four alternating 20 s pairs of bench/run.py (2 vCPU, CPython 3.11), with one
-# order a draw, 400 draws moved decide_tail_ms by +6% on the 3-point data and
-# -5% on the 4-point data, no more than the 5% that crosscheck_per_s, which
-# the draws do not touch, moved between the same runs
+# leave 61, 30 and 17, and, testing two cyclic orders a draw, 3, 2 and 0.
+# With the pipeline's search offering orbit-joining images first, four
+# alternating 20 s pairs of bench/run.py against 200 draws (2 vCPU, CPython
+# 3.11) read, on search-n3, decide_tail_ms -35% and decide_per_s +4% at 100
+# draws, and +61% and -4% at 400; on search-n4, 100 draws moved both by 1% or
+# less.  crosscheck_per_s, which the draws do not touch, moved under 1%.  The
+# value stays at 200 for now: any other moves the bytes of scanned rows
 SAMPLE_DRAWS = 200
 
 
@@ -234,8 +247,9 @@ class _TupleSearch:
     """Backtracking enumeration of witness tuples for one datum of three or
     more partitions."""
 
-    def __init__(self, datum: CandidateDatum, budget: SearchBudget) -> None:
+    def __init__(self, datum: CandidateDatum, budget: SearchBudget, join_first: bool = False) -> None:
         self.degree = d = datum.degree
+        self.join_first = join_first
         self.types = [p.parts for p in datum.partitions]
         n = len(self.types)
         sizes = [class_size(p) for p in datum.partitions]
@@ -396,6 +410,16 @@ class _TupleSearch:
             root = tip
             while parent[root] != root:
                 root = parent[root]
+            if self.join_first:
+                # the unused points outside tip's orbit, ascending, then those in it
+                joining, own = [], []
+                for x in candidates:
+                    if not used[x]:
+                        r = x
+                        while parent[r] != r:
+                            r = parent[r]
+                        (own if r == root else joining).append(x)
+                candidates = joining + own
             # In the first middle factor, the pinned factor's centralizer
             # elements that fix every used point permute and rotate its
             # untouched cycles of each length, so all their points are one
@@ -579,7 +603,8 @@ def sample(datum: CandidateDatum, draws: int) -> tuple[ConstellationWitness | No
     return None, draws
 
 
-def decide(datum: CandidateDatum, budget: SearchBudget | None = None) -> Verdict:
+def decide(datum: CandidateDatum, budget: SearchBudget | None = None, *,
+           join_first: bool = False) -> Verdict:
     """Complete search verdict: realizable with witness, exceptional, or unknown.
 
     Requires a balanced datum.  Degrees above ``budget.max_degree`` return
@@ -587,7 +612,9 @@ def decide(datum: CandidateDatum, budget: SearchBudget | None = None) -> Verdict
     three partitions get :func:`two_point_witness`, or unknown("degree-limit")
     above ``TWO_POINT_DEGREE_MAX``; running out of nodes returns
     unknown("budget").  An exceptional verdict means the search space was
-    exhausted.
+    exhausted.  ``join_first`` offers each open cycle's images outside the
+    mapped point's orbit first; it changes the witness found and the nodes
+    spent, never the status.
     """
     budget = budget or SearchBudget()
     if rh_defect(datum) != 0:
@@ -600,7 +627,7 @@ def decide(datum: CandidateDatum, budget: SearchBudget | None = None) -> Verdict
             return Verdict(UNKNOWN, "oracle", limit=LIMIT_DEGREE)
         return Verdict(REALIZABLE, "oracle", certificate=two_point_witness(datum))
 
-    search = _TupleSearch(datum, budget)
+    search = _TupleSearch(datum, budget, join_first)
     try:
         witness = search.run()
     except BudgetExhausted:

@@ -122,7 +122,7 @@ def test_scan_bytes_are_pinned(tmp_path, capsys):
     assert data.count(b"\n") == 1469
     assert data.count(b'"type":"chain"') == 102
     assert hashlib.sha256(data).hexdigest() == (
-        "ae0536cff9c69a2c55b88ac9a24beb95ceedbc635e6ebfca0d371acb881adc7c"
+        "cbeb8d03171df26fab3923ab25a2b875495dc73c644d4a4bfd15b18ae63b83a1"
     )
 
 

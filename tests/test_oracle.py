@@ -133,6 +133,26 @@ def test_agrees_with_reference_at_tiny_scale():
                     assert check_witness(datum, verdict.certificate)
 
 
+def test_join_first_order_agrees_with_ascending():
+    # offering orbit-joining images first changes only the traversal.  Every
+    # untouched pinned cycle lies outside tip's orbit, so the centralizer
+    # break still offers the same class representatives, and on 3-point data,
+    # where no subproblem is skipped, an exhaustion visits the same nodes
+    data = [(3, datum) for degree in range(3, 10) for datum in enumerate_candidates(degree, 3)]
+    data += [(4, datum) for datum in enumerate_candidates(8, 4)]
+    exhausted = 0
+    for n, datum in data:
+        ascending = decide(datum)
+        joining = decide(datum, join_first=True)
+        assert joining.status == ascending.status, datum.render()
+        if joining.status == REALIZABLE:
+            assert check_witness(datum, joining.certificate), datum.render()
+        elif n == 3:
+            exhausted += 1
+            assert joining.stats.nodes == ascending.stats.nodes, datum.render()
+    assert exhausted == 25
+
+
 def test_budget_monotonicity():
     cases = [
         (D("8: [5, 3] [2, 2, 2,2] [3, 2, 2,1]"), REALIZABLE),
