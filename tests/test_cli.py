@@ -122,7 +122,7 @@ def test_scan_bytes_are_pinned(tmp_path, capsys):
     assert data.count(b"\n") == 1469
     assert data.count(b'"type":"chain"') == 102
     assert hashlib.sha256(data).hexdigest() == (
-        "cbeb8d03171df26fab3923ab25a2b875495dc73c644d4a4bfd15b18ae63b83a1"
+        "41a203e056b30a187fe673f115341bbac8047a4ef16b48908c80cad0d636e267"
     )
 
 

@@ -624,7 +624,7 @@ def test_a_draw_after_the_first_relabels_one_factor(monkeypatch):
         calls = 0
         assert oracle_mod.sample(exceptional, draws) == (None, draws)
         assert calls == 8 * (draws + 1)
-    for text, hit in (("8: [5,1,1,1] [5,1,1,1] [2,2,2,1,1] [4,1,1,1,1]", 116),
+    for text, hit in (("8: [4,2,1,1] [5,1,1,1] [5,1,1,1] [3,1,1,1,1,1]", 93),
                       ("7: [5,1,1] [4,1,1,1] [3,1,1,1,1] [3,1,1,1,1] [2,1,1,1,1,1]", 81)):
         datum = parse_datum(text)
         k = len(datum.partitions) - 2
